@@ -56,9 +56,7 @@ func NewBaselineTCP(objectKey string, servant Servant) (*Baseline, error) {
 }
 
 // Object returns a stub for the hosted object.
-func (b *Baseline) Object(objectKey string) *Object {
-	return &Object{ref: b.orb.ObjRef(objectKey)}
-}
+func (b *Baseline) Object(objectKey string) *Object { return b.orb.ObjRef(objectKey) }
 
 // Close releases TCP resources (no-op for the loopback baseline).
 func (b *Baseline) Close() {

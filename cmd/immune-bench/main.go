@@ -13,15 +13,13 @@
 // case 4, with plateaus at saturation) is the reproduction target.
 //
 // Output is a CSV-ish table: one row per client interval, one column per
-// case.
+// case. Per-invocation cost (throughput, latency, allocations, per-layer
+// breakdown) is `go run ./bench`.
 //
-// With -json PATH the tool instead measures the per-invocation cost of
-// each case b.N-style (testing.Benchmark, same methodology as the
-// benchmark suite) and writes a machine-readable report — ns/op,
-// allocs/op, B/op per case, alongside the recorded pre-change baselines —
-// e.g.:
-//
-//	go run ./cmd/immune-bench -json BENCH_2.json
+// Three other modes replace the sweep: -saturate (overload smoke), -rings
+// (ring-sharding scaling, BENCH_3 schema) and -reconfig (live
+// reconfiguration latency, BENCH_4 schema); the last two write their
+// report to -json PATH when set.
 package main
 
 import (
@@ -50,9 +48,7 @@ func main() {
 	workFactor := flag.Int("workfactor", 1,
 		"crypto work factor: 1 = modern hardware, ~100 = calibrated to the paper's 167 MHz testbed")
 	jsonPath := flag.String("json", "",
-		"write a machine-readable per-invocation cost report (cases 1-4) to this path instead of the interval sweep")
-	withMetrics := flag.Bool("metrics", false,
-		"JSON mode only: include each replicated case's metric snapshot (per-layer counters and trace stage breakdowns) in the report and fail if a required protocol counter stayed zero")
+		"rings and reconfig modes only: write the machine-readable report to this path")
 	saturate := flag.Duration("saturate", 0,
 		"run the overload smoke instead: drive unpaced one-way load for this duration against tight queue bounds and fail on any backpressure invariant violation")
 	ringsCSV := flag.String("rings", "",
@@ -91,13 +87,7 @@ func main() {
 		log.Fatal("-memceiling requires -saturate DURATION")
 	}
 	if *jsonPath != "" {
-		if err := runJSON(*jsonPath, *payload, *workFactor, *withMetrics); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *withMetrics {
-		log.Fatal("-metrics requires -json PATH")
+		log.Fatal("-json requires -rings COUNTS or -reconfig CYCLES")
 	}
 	if err := run(*duration, *payload, *intervals, *cases, *workFactor); err != nil {
 		log.Fatal(err)

@@ -249,7 +249,6 @@ func run() error {
 	p1, _ := sys.Processor(1)
 	fmt.Printf("\nfinal membership %v, ledger group %v\n",
 		p1.View().Members, p1.GroupMembers(srvGroup))
-	fmt.Printf("P1 manager stats: %+v\n", p1.ManagerStats())
 	fmt.Printf("final health: %+v\n", healthOf(sys))
 
 	fmt.Println("\n== metrics snapshot (system-wide, all layers) ==")

@@ -7,10 +7,18 @@
 //	immune-scenario -list
 //	immune-scenario -scenario cascade -seed 7
 //	immune-scenario -scenario all -json BENCH_SCENARIO.json
+//	immune-scenario -table1
 //
 // The exit status is non-zero when any scenario violates its SLO or
 // delivers nothing, which is what the CI chaos smoke keys on. With -json
 // the tool also writes the BENCH_SCENARIO.json trend artifact.
+//
+// -table1 reproduces Table 1 of the paper instead: it injects each fault
+// class the Immune system claims to handle — message loss, corruption and
+// duplication, processor crash, malicious (value-faulty) replicas — and
+// reports whether the claimed mechanism detected and handled it, exiting
+// non-zero if any did not. The experiments are scenario.Table1, shared
+// with the go-test regression suite (table1_test.go).
 package main
 
 import (
@@ -58,7 +66,13 @@ func main() {
 	duration := flag.Duration("duration", 0, "override the scenario's load window (0 keeps it)")
 	jsonPath := flag.String("json", "", "write the per-scenario trend report to this path")
 	list := flag.Bool("list", false, "list catalog scenarios and exit")
+	table1 := flag.Bool("table1", false, "run the Table 1 fault-injection experiments and exit")
 	flag.Parse()
+
+	if *table1 {
+		runTable1()
+		return
+	}
 
 	if *list {
 		for _, s := range scenario.Catalog() {
@@ -67,7 +81,7 @@ func main() {
 		return
 	}
 	if *name == "" {
-		log.Fatal("usage: immune-scenario -scenario NAME|all [-seed N] [-json PATH] (see -list)")
+		log.Fatal("usage: immune-scenario -scenario NAME|all [-seed N] [-json PATH] | -table1 (see -list)")
 	}
 
 	var runs []scenario.Scenario
@@ -151,5 +165,26 @@ func main() {
 	}
 	if failures > 0 {
 		log.Fatalf("%d scenario(s) violated their SLO", failures)
+	}
+}
+
+// runTable1 prints one row per Table 1 fault class and exits non-zero if
+// any experiment failed.
+func runTable1() {
+	failures := 0
+	fmt.Println("Table 1 fault-injection harness")
+	fmt.Println("===============================")
+	for _, ex := range scenario.Table1() {
+		start := time.Now()
+		status := "HANDLED"
+		if err := ex.Run(); err != nil {
+			status = "FAILED: " + err.Error()
+			failures++
+		}
+		fmt.Printf("%-45s | %-60s | %-8s (%.1fs)\n",
+			ex.Name, ex.Mechanism, status, time.Since(start).Seconds())
+	}
+	if failures > 0 {
+		log.Fatalf("%d experiment(s) failed", failures)
 	}
 }

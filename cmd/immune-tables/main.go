@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"immune/internal/detector"
 	"immune/internal/ids"
 	"immune/internal/membership"
 	"immune/internal/netsim"
@@ -82,7 +83,7 @@ func newCluster(n int, level sec.Level, plan netsim.FaultPlan, seed uint64) (*cl
 		nd := &node{id: p}
 		st, err := smp.New(smp.Config{
 			Self: p, Members: members, Suite: suite, Endpoint: ep,
-			SuspectTimeout: 30 * time.Millisecond,
+			Detector: detector.Knobs{SuspectTimeout: 30 * time.Millisecond},
 			Deliver: func(d smp.Delivery) {
 				nd.mu.Lock()
 				defer nd.mu.Unlock()

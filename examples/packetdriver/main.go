@@ -125,8 +125,10 @@ func run(levelName string, interval, duration time.Duration, payloadSize int) er
 	for i, s := range sinks {
 		fmt.Printf("  sink replica %d received %d\n", i+1, s.Received())
 	}
-	p1, _ := sys.Processor(1)
-	fmt.Printf("  ring stats at P1: %+v\n", p1.RingStats())
+	snap := sys.Snapshot()
+	fmt.Printf("  ring counters (all processors): originated=%d delivered=%d tokens=%d retransmissions=%d shed=%d\n",
+		snap.Counter("ring.originated"), snap.Counter("ring.delivered"), snap.Counter("ring.tokens_signed"),
+		snap.Counter("ring.retransmissions"), snap.Counter("ring.submit_shed"))
 	return nil
 }
 

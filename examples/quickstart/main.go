@@ -149,6 +149,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("server group members: %v\n", p1.GroupMembers(serverGroup))
-	fmt.Printf("P1 ring stats: %+v\n", p1.RingStats())
+	snap := sys.Snapshot()
+	fmt.Printf("ring counters (all processors): originated=%d delivered=%d tokens=%d rejects=%d\n",
+		snap.Counter("ring.originated"), snap.Counter("ring.delivered"),
+		snap.Counter("ring.tokens_signed"), snap.Counter("ring.rejects"))
 	return nil
 }

@@ -191,7 +191,10 @@ func run() error {
 	}
 
 	fmt.Println("majority voting kept the fused answers correct throughout;")
-	fmt.Printf("network endured: %+v\n", sys.NetStats())
+	snap := sys.Snapshot()
+	fmt.Printf("network endured: sent=%d delivered=%d dropped=%d corrupted=%d duplicated=%d\n",
+		snap.Counter("net.sent"), snap.Counter("net.delivered"), snap.Counter("net.dropped"),
+		snap.Counter("net.corrupted"), snap.Counter("net.duplicated"))
 
 	// Let the exclusion machinery finish its job.
 	deadline := time.Now().Add(30 * time.Second)

@@ -7,7 +7,7 @@
 // through ordinary CORBA stubs; every invocation and response is majority
 // voted.
 //
-// With Config.RingCount > 1 the system shards object groups across that
+// With Config.Rings > 1 the system shards object groups across that
 // many independent SMP stacks per processor (multi-ring sharding): each
 // group's total order lives on its home ring — chosen by a consistent
 // hash of the group id (RingOf) — and a routing layer forwards
@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"immune/internal/detector"
 	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/interceptor"
@@ -41,24 +42,34 @@ import (
 	"immune/internal/voting"
 )
 
-// Config parameterizes a System.
+// Config parameterizes an Immune system deployment (immune.Config is this
+// type). Tuning knobs are flat fields here and are mapped onto the layer
+// that consumes each at one site (buildProcessor); that layer owns the
+// default, so a zero field always means "the layer's default".
 type Config struct {
 	// Processors is the number of simulated processors (the paper's
-	// testbed used six). Identifiers are assigned 1..n.
+	// testbed used six). Identifiers are assigned 1..n; a system of n
+	// processors tolerates ⌊(n−1)/3⌋ faulty ones.
 	Processors int
-	// RingCount shards object groups across this many independent SMP
-	// stacks per processor (see RingOf). 0 or 1 means a single ring with
-	// the legacy behavior and metric names; higher values label each
-	// ring's metrics with an "rN." prefix.
-	RingCount int
-	// Level is the survivability level (Figure 7 cases 2–4). Zero means
-	// sec.LevelSignatures (full survivability).
+	// Rings shards object groups across this many independent token
+	// rings per processor (multi-ring sharding): each group's total
+	// order lives on its home ring, chosen by a consistent hash of the
+	// group id (RingOf), and invocations crossing rings are forwarded
+	// transparently. Aggregate throughput scales with the ring count
+	// while per-group ordering guarantees are unchanged. Zero or one
+	// means a single ring with unprefixed metric names; higher counts
+	// prefix each ring's protocol metrics with "rN.".
+	Rings int
+	// Level is the survivability level (Figure 7 cases 2–4); zero means
+	// LevelSignatures (full survivability).
 	Level sec.Level
-	// ModulusBits is the RSA modulus size; 0 means the paper's 300.
+	// ModulusBits is the RSA modulus size; zero means the paper's 300.
 	ModulusBits int
-	// MaxPerVisit is the token batching factor j; 0 means 6 (paper §8).
-	MaxPerVisit int
-	// Seed drives deterministic key generation and network randomness.
+	// TokenBatch is the number j of multicast messages per token visit,
+	// over which one token signature is amortized; zero means 6 (§8).
+	TokenBatch int
+	// Seed makes key generation, network randomness and fault injection
+	// reproducible.
 	Seed uint64
 	// NetLatency and NetJitter shape the simulated LAN; zero means
 	// immediate handoff.
@@ -68,61 +79,57 @@ type Config struct {
 	// multiple rings the same plan is applied to every ring's network
 	// (FaultPlan implementations must be safe for concurrent use).
 	Plan netsim.FaultPlan
-	// CallTimeout bounds replicated two-way invocations; 0 means 10s.
+	// CallTimeout bounds replicated two-way invocations; zero means 10s.
 	CallTimeout time.Duration
-	// InvokeRetries is how many idempotent re-sends a two-way invocation
-	// may attempt within its deadline; 0 means none.
+	// InvokeRetries is how many times a timed-out two-way invocation is
+	// re-sent within its deadline. Re-sends are safe: voters detect the
+	// duplicate invocation identifier and discard it. Zero means none.
 	InvokeRetries int
-	// AutoRecover enables the recovery manager: groups hosted through
-	// HostGroup are automatically restored to their configured degree
-	// when processor exclusions reduce them (§3.1 reallocation).
+	// AutoRecover enables the recovery manager: object groups hosted via
+	// HostGroup are re-hosted automatically when processor exclusions
+	// drop them below their configured replication degree (§3.1).
 	AutoRecover bool
-	// RecoveryBackoff is the base retry backoff after a failed
-	// placement; 0 means 50ms.
+	// RecoveryBackoff is the base retry backoff after a failed recovery
+	// placement (capped exponential with jitter); zero means 50ms.
 	RecoveryBackoff time.Duration
-	// SuspectTimeout is the fault detector's liveness timeout; 0 means
-	// 50ms.
+	// SuspectTimeout is the Byzantine fault detector's liveness timeout;
+	// zero means 50ms.
 	SuspectTimeout time.Duration
 	// StrikeThreshold is how many weakly attributable offenses (invalid
 	// tokens, digest-mismatched messages) a processor may accumulate
-	// before being suspected; 0 means the detector default (3). Raise it
-	// on lossy links where wire corruption would otherwise be mistaken
-	// for processor misbehaviour.
+	// before the Byzantine fault detector suspects it; zero means 3.
+	// Deployments on lossy links raise it so sustained wire corruption —
+	// a link property — is not mistaken for processor misbehaviour.
 	StrikeThreshold int
-	// IdleDelay paces an idle token rotation; 0 means 500µs.
-	IdleDelay time.Duration
-	// PollInterval is each processor's event-loop idle sleep; 0 means
+	// PollInterval is each processor's event-loop idle sleep; zero means
 	// 100µs. Lower values trade CPU for latency in benchmarks.
 	PollInterval time.Duration
-	// CryptoWorkFactor repeats signing/verification to emulate
-	// paper-era (167 MHz) hardware; 0 means 1 (modern speed).
+	// CryptoWorkFactor repeats every signature generation/verification
+	// to emulate the paper's 167 MHz testbed, where a 300-bit RSA
+	// signature cost milliseconds; ~100 restores the 1999 ratio of
+	// crypto to protocol cost. Zero means 1 (modern hardware).
 	CryptoWorkFactor int
-	// MaxSubmitQueue caps each processor's ring submit queue; past it
-	// Submit fails fast with ErrOverloaded. 0 means ring.DefaultMaxQueue;
-	// negative unbounded.
-	MaxSubmitQueue int
-	// MaxUnstable caps how far a processor's originations may run ahead
-	// of the stable (all-received) sequence, bounding the retransmission
-	// buffer. 0 means ring.DefaultMaxUnstable; negative unbounded.
-	MaxUnstable int
-	// MaxInFlight caps concurrent two-way invocations per local client
-	// replica. 0 means replication.DefaultMaxInFlight; negative
+	// MaxSubmitQueue caps each processor's multicast submit queue; past
+	// it submissions fail fast with ErrOverloaded instead of growing
+	// memory without bound. Zero means a default of 4096; negative
 	// unbounded.
+	MaxSubmitQueue int
+	// MaxInFlight caps concurrent two-way invocations per client
+	// replica; past it Invoke fails fast with ErrOverloaded. Zero means
+	// a default of 4096; negative unbounded.
 	MaxInFlight int
-	// MaxBacklog caps the voted-invocation backlog a not-yet-active
-	// replica may accumulate. 0 means replication.DefaultMaxBacklog;
-	// negative unbounded.
+	// MaxBacklog caps the voted invocations buffered for a replica that
+	// is still joining; the oldest entries are shed first. Zero means a
+	// default of 1024; negative unbounded.
 	MaxBacklog int
-	// BacklogTTL expires backlog entries by age. 0 means
-	// replication.DefaultBacklogTTL; negative disables expiry.
-	BacklogTTL time.Duration
 	// Transport optionally supplies each hosted processor's network
 	// endpoints, replacing the built-in simulated LAN with a real-socket
 	// backend (internal/transport/tcpmesh). It is called once per
-	// (processor, ring) pair — a multi-ring deployment runs one mesh per
-	// ring. When set, the netsim knobs (NetLatency, NetJitter, Plan,
-	// seeded network faults) do not apply, CrashProcessor /
-	// ReattachProcessor are no-ops, and NetStats reports zeros; Stop
+	// (processor, ring) pair — a sharded deployment runs one mesh per
+	// ring (ring is always 0 when Rings <= 1). When set, the netsim knobs
+	// (NetLatency, NetJitter, Plan, seeded network faults) do not apply,
+	// CrashProcessor / ReattachProcessor are no-ops, and the net.*
+	// counters stay zero (see the transport.* family instead); Stop
 	// closes the supplied endpoints exactly once.
 	Transport func(p ids.ProcessorID, ring int) (transport.Endpoint, error)
 	// LocalProcessors restricts which of the 1..Processors identifiers
@@ -179,7 +186,7 @@ func RingOf(g ids.ObjectGroupID, rings int) int {
 }
 
 // metricPrefix labels one ring's metric families. A single-ring system
-// keeps the legacy unprefixed names.
+// uses unprefixed names.
 func metricPrefix(r, rings int) string {
 	if rings <= 1 {
 		return ""
@@ -280,10 +287,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Processors <= 0 {
 		return nil, fmt.Errorf("core: at least one processor required")
 	}
-	if cfg.RingCount < 0 {
-		return nil, fmt.Errorf("core: negative ring count %d", cfg.RingCount)
+	if cfg.Rings < 0 {
+		return nil, fmt.Errorf("core: negative ring count %d", cfg.Rings)
 	}
-	rings := cfg.RingCount
+	rings := cfg.Rings
 	if rings == 0 {
 		rings = 1
 	}
@@ -292,9 +299,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.ModulusBits == 0 {
 		cfg.ModulusBits = sec.DefaultModulusBits
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
 	}
 
 	// One registry and tracer per system: counters aggregate across
@@ -353,7 +357,7 @@ func NewSystem(cfg Config) (*System, error) {
 				Jitter:  cfg.NetJitter,
 				Plan:    cfg.Plan,
 				Seed:    cfg.Seed ^ ringSeedSalt(r),
-				Metrics: netsim.MetricsFromPrefix(reg, metricPrefix(r, rings)),
+				Metrics: netsim.MetricsFrom(reg, metricPrefix(r, rings)),
 			}))
 		}
 	}
@@ -496,19 +500,18 @@ func (s *System) buildProcessor(p ids.ProcessorID, joining bool, reuse []transpo
 
 		r := r // captured by Deliver/OnMembershipChange below
 		stack, err := smp.New(smp.Config{
-			Self:            p,
-			Members:         s.members,
-			Joining:         joining,
-			Suite:           suite,
-			Endpoint:        ep,
-			MaxPerVisit:     cfg.MaxPerVisit,
-			MaxSubmitQueue:  cfg.MaxSubmitQueue,
-			MaxUnstable:     cfg.MaxUnstable,
-			IdleDelay:       cfg.IdleDelay,
-			PollInterval:    cfg.PollInterval,
-			SuspectTimeout:  cfg.SuspectTimeout,
-			StrikeThreshold: cfg.StrikeThreshold,
-			Metrics:         smp.MetricsFromPrefix(s.reg, metricPrefix(r, rings)),
+			Self:     p,
+			Members:  s.members,
+			Joining:  joining,
+			Suite:    suite,
+			Endpoint: ep,
+			Ring:     ring.Knobs{MaxPerVisit: cfg.TokenBatch, MaxQueue: cfg.MaxSubmitQueue},
+			Detector: detector.Knobs{
+				SuspectTimeout:  cfg.SuspectTimeout,
+				StrikeThreshold: cfg.StrikeThreshold,
+			},
+			PollInterval: cfg.PollInterval,
+			Metrics:      smp.MetricsFrom(s.reg, metricPrefix(r, rings)),
 			Deliver: func(d smp.Delivery) {
 				proc.mgrs[r].HandleDelivery(d.Payload)
 			},
@@ -534,7 +537,6 @@ func (s *System) buildProcessor(p ids.ProcessorID, joining bool, reuse []transpo
 			Jitter:      sec.NewSeededRand(cfg.Seed ^ (uint64(p)*0xbf58476d1ce4e5b9 + 3) ^ ringSeedSalt(r)),
 			MaxInFlight: cfg.MaxInFlight,
 			MaxBacklog:  cfg.MaxBacklog,
-			BacklogTTL:  cfg.BacklogTTL,
 			OnChange:    s.notifyActivity,
 			Metrics:     replication.MetricsFrom(s.reg),
 			Tracer:      s.tracer,
@@ -563,8 +565,8 @@ func (s *System) buildProcessor(p ids.ProcessorID, joining bool, reuse []transpo
 	return proc, nil
 }
 
-// RingCount returns the number of rings this system shards groups over.
-func (s *System) RingCount() int { return s.rings }
+// Rings returns the number of token rings groups are sharded over.
+func (s *System) Rings() int { return s.rings }
 
 // RingOf returns the home ring of an object group in this system.
 func (s *System) RingOf(g ids.ObjectGroupID) int { return RingOf(g, s.rings) }
@@ -869,29 +871,14 @@ func (s *System) ReattachProcessor(id ids.ProcessorID) {
 	}
 }
 
-// NetStats returns the simulated networks' counters summed across rings
-// (zeros on a real-socket transport — see the transport.* metric family
-// instead).
-func (s *System) NetStats() netsim.Stats {
-	var total netsim.Stats
-	for _, n := range s.nets {
-		st := n.Stats()
-		total.Sent += st.Sent
-		total.Delivered += st.Delivered
-		total.Dropped += st.Dropped
-		total.Corrupted += st.Corrupted
-		total.Duplicated += st.Duplicated
-		total.BytesSent += st.BytesSent
-	}
-	return total
-}
-
 // Metrics returns the system-wide metric registry, or nil when the
 // observability layer is disabled (Config.DisableMetrics).
 func (s *System) Metrics() *obs.Registry { return s.reg }
 
-// Snapshot returns a point-in-time copy of every registered metric. With
-// metrics disabled it returns an empty snapshot.
+// Snapshot returns a point-in-time copy of every registered metric:
+// per-layer counters (ring, voting, replication, recovery, membership,
+// network) and per-stage invocation latency histograms. Safe from any
+// goroutine while the system runs. Empty when metrics are disabled.
 func (s *System) Snapshot() obs.Snapshot { return s.reg.Snapshot() }
 
 // HostGroup hosts a server object group at the given replication degree:
@@ -903,7 +890,7 @@ func (s *System) Snapshot() obs.Snapshot { return s.reg.Snapshot() }
 // hosted on the group's home ring; in a sharded system their joins are
 // mirrored to the other rings as client-only entries.
 func (s *System) HostGroup(g ids.ObjectGroupID, objectKey string, degree int,
-	factory func() orb.Servant, on ...ids.ProcessorID) ([]*replication.Handle, error) {
+	factory func() orb.Servant, on ...ids.ProcessorID) ([]*Replica, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("core: servant factory required")
 	}
@@ -962,7 +949,7 @@ func (s *System) HostGroup(g ids.ObjectGroupID, objectKey string, degree int,
 		rollback(nil)
 		return nil, err
 	}
-	handles := make([]*replication.Handle, 0, degree)
+	replicas := make([]*Replica, 0, degree)
 	placed := make([]ids.ProcessorID, 0, degree)
 	for _, p := range hosts {
 		h, err := procs[p].mgrFor(g).HostReplica(g, objectKey, factory())
@@ -970,10 +957,10 @@ func (s *System) HostGroup(g ids.ObjectGroupID, objectKey string, degree int,
 			rollback(placed)
 			return nil, err
 		}
-		handles = append(handles, h)
+		replicas = append(replicas, &Replica{h: h})
 		placed = append(placed, p)
 	}
-	return handles, nil
+	return replicas, nil
 }
 
 // Health snapshots the membership, per-group degree accounting, and the
@@ -1030,21 +1017,11 @@ func (p *Processor) ID() ids.ProcessorID { return p.id }
 
 // View returns the processor's installed membership on ring 0. In a
 // sharded system each ring runs its own membership protocol; ring 0 is
-// the conventional reporting ring (ViewAt for the others).
+// the conventional reporting ring.
 func (p *Processor) View() membership.Install { return p.stacks[0].View() }
-
-// ViewAt returns the processor's installed membership on one ring.
-func (p *Processor) ViewAt(ring int) membership.Install { return p.stacks[ring].View() }
 
 // Suspects returns the processor's local fault-detector output (ring 0).
 func (p *Processor) Suspects() []ids.ProcessorID { return p.stacks[0].Suspects() }
-
-// RingStats returns the processor's current ring counters (ring 0; see
-// RingStatsAt for the others).
-func (p *Processor) RingStats() ring.Stats { return p.stacks[0].RingStats() }
-
-// RingStatsAt returns the processor's counters on one ring.
-func (p *Processor) RingStatsAt(r int) ring.Stats { return p.stacks[r].RingStats() }
 
 // QueuedSubmissions returns the total depth of the processor's ring
 // submit queues across rings (pending originations). Each ring's queue is
@@ -1057,56 +1034,42 @@ func (p *Processor) QueuedSubmissions() int {
 	return total
 }
 
-// ManagerStats returns the processor's Replication Manager counters,
-// summed across rings.
-func (p *Processor) ManagerStats() replication.Stats {
-	var total replication.Stats
-	for _, mgr := range p.mgrs {
-		st := mgr.Stats()
-		total.InvocationsSent += st.InvocationsSent
-		total.ResponsesSent += st.ResponsesSent
-		total.ResponsesResent += st.ResponsesResent
-		total.InvocationsDecided += st.InvocationsDecided
-		total.ResponsesDecided += st.ResponsesDecided
-		total.DuplicatesDiscarded += st.DuplicatesDiscarded
-		total.ValueFaults += st.ValueFaults
-		total.StateTransfers += st.StateTransfers
-		total.OverloadRejects += st.OverloadRejects
-		total.BacklogShed += st.BacklogShed
-		total.Desyncs += st.Desyncs
-	}
-	return total
-}
-
-// Manager exposes the ring-0 Replication Manager (advanced use and
-// tests); ManagerAt selects a specific ring.
-func (p *Processor) Manager() *replication.Manager { return p.mgrs[0] }
-
-// ManagerAt exposes the Replication Manager for one ring.
-func (p *Processor) ManagerAt(ring int) *replication.Manager { return p.mgrs[ring] }
-
 // HostServer starts a local server replica of an object group on this
 // processor, on the group's home ring. servant must be deterministic
-// (paper §3). The returned handle reports activation; the replica
-// participates in voting thereafter.
-func (p *Processor) HostServer(g ids.ObjectGroupID, objectKey string, servant orb.Servant) (*replication.Handle, error) {
-	return p.mgrFor(g).HostReplica(g, objectKey, servant)
+// (paper §3); objectKey is the CORBA object key clients use. The returned
+// replica reports activation and participates in voting thereafter.
+func (p *Processor) HostServer(g ids.ObjectGroupID, objectKey string, servant orb.Servant) (*Replica, error) {
+	h, err := p.mgrFor(g).HostReplica(g, objectKey, servant)
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{h: h}, nil
 }
 
-// ClientORB hosts a local client replica of clientGroup on this processor
-// (on the client group's home ring) and returns an ORB whose transport is
-// the Immune interceptor: stubs created from this ORB transparently issue
-// replicated, majority-voted invocations — including to server groups
-// homed on other rings, via the cross-ring routing layer. Bind object
-// keys to server groups on the returned interceptor.
-func (p *Processor) ClientORB(clientGroup ids.ObjectGroupID) (*orb.ORB, *interceptor.Interceptor, *replication.Handle, error) {
-	h, err := p.mgrFor(clientGroup).HostReplica(clientGroup, "", nil)
+// NewClient hosts a local client replica of clientGroup (on the client
+// group's home ring) and returns a Client whose object references
+// transparently issue replicated, majority-voted invocations through the
+// Immune interceptor — including to server groups homed on other rings,
+// via the cross-ring routing layer.
+func (p *Processor) NewClient(clientGroup ids.ObjectGroupID) (*Client, error) {
+	o, ic, h, err := p.clientORB(clientGroup)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{orb: o, ic: ic, replica: &Replica{h: h}}, nil
+}
+
+// clientORB is NewClient's construction step, kept apart so white-box
+// tests can drive the ORB, interceptor and replica handle directly.
+func (p *Processor) clientORB(clientGroup ids.ObjectGroupID) (*orb.ORB, *interceptor.Interceptor, *replication.Handle, error) {
+	mgr := p.mgrFor(clientGroup)
+	h, err := mgr.HostReplica(clientGroup, "", nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ic := interceptor.New(h)
 	o := orb.New(ic)
-	o.CallTimeout = p.sys.cfg.CallTimeout + time.Second
+	o.CallTimeout = mgr.Config().CallTimeout + time.Second
 	return o, ic, h, nil
 }
 

@@ -161,7 +161,7 @@ func deploy(t *testing.T, level sec.Level) *deployment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, ic, h, err := p.ClientORB(clientGroup)
+		o, ic, h, err := p.clientORB(clientGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestHostGroupRollsBackOnPartialFailure(t *testing.T) {
 
 	// With the stray replica removed, hosting the group again succeeds —
 	// a retry is not blocked by a half-committed first attempt.
-	if err := p3.Manager().EvictReplica(ids.ReplicaID{Group: g, Processor: 3}); err != nil {
+	if err := p3.mgrs[0].EvictReplica(ids.ReplicaID{Group: g, Processor: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for time.Now().Before(deadline) && len(p1.GroupMembers(g)) != 0 {

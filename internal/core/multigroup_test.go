@@ -75,7 +75,7 @@ func TestMultipleObjectGroupsCoexist(t *testing.T) {
 		var out []*cli
 		for _, pid := range pids {
 			p, _ := sys.Processor(pid)
-			o, ic, h, err := p.ClientORB(group)
+			o, ic, h, err := p.clientORB(group)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestNetworkLatencyTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, _ := sys.Processor(2)
-	o, ic, ch, err := p2.ClientORB(60)
+	o, ic, ch, err := p2.clientORB(60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestCrossRingInvocation(t *testing.T) {
 	clientG := ids.ObjectGroupID(4)
 	sys, err := NewSystem(Config{
 		Processors:     6,
-		RingCount:      rings,
+		Rings:          rings,
 		Level:          sec.LevelDigests,
 		Seed:           7,
 		CallTimeout:    15 * time.Second,
@@ -81,7 +81,7 @@ func TestCrossRingInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, ic, h, err := p4.ClientORB(clientG)
+	o, ic, h, err := p4.clientORB(clientG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMultiRingDeterminism(t *testing.T) {
 		t.Helper()
 		sys, err := NewSystem(Config{
 			Processors:     4,
-			RingCount:      2,
+			Rings:          2,
 			Level:          sec.LevelDigests,
 			Seed:           99,
 			CallTimeout:    20 * time.Second,
@@ -175,7 +175,7 @@ func TestMultiRingDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, ic, h, err := p4.ClientORB(ids.ObjectGroupID(6))
+		o, ic, h, err := p4.clientORB(ids.ObjectGroupID(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestStopIdempotentConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	sys, err := NewSystem(Config{
 		Processors: 3,
-		RingCount:  2,
+		Rings:      2,
 		Level:      sec.LevelNone,
 		Seed:       5,
 		Transport: func(p ids.ProcessorID, ring int) (transport.Endpoint, error) {
@@ -320,7 +320,7 @@ func TestNewSystemFailureCleanup(t *testing.T) {
 	calls := 0
 	_, err := NewSystem(Config{
 		Processors: 3,
-		RingCount:  2,
+		Rings:      2,
 		Level:      sec.LevelNone,
 		Seed:       6,
 		Transport: func(p ids.ProcessorID, ring int) (transport.Endpoint, error) {

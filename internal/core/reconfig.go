@@ -4,7 +4,7 @@ package core
 // without stopping client invocations. The paper's Immune System
 // survives faults it did not choose; this file covers the changes an
 // operator *did* choose — capacity adds (AddProcessor), maintenance
-// drains (DrainProcessor, DrainLocal), and replication-degree changes
+// drains (DrainProcessor, Drain), and replication-degree changes
 // (ResizeGroup) — reusing the same protocol machinery that heals
 // failures: the membership protocol admits and excises processors, the
 // majority-voted state transfer populates new replicas, and the
@@ -549,14 +549,15 @@ func (s *System) ResizeGroup(g ids.ObjectGroupID, degree int, timeout time.Durat
 	return nil
 }
 
-// DrainLocal gracefully withdraws every locally hosted processor of a
-// multi-process deployment: local replicas are excised (peer processes
-// re-host spec'd groups through their own recovery managers — this
-// process cannot place onto processors it does not run), and every local
-// stack then leaves its ring's membership voluntarily, so peers excise
-// this process without suspicion strikes. The caller Stops the system
-// afterwards; cmd/immune-node uses this for its SIGTERM drain.
-func (s *System) DrainLocal(timeout time.Duration) error {
+// Drain gracefully withdraws every locally hosted processor of a
+// multi-process deployment (the counterpart of DrainProcessor there):
+// local replicas are excised (peer processes re-host spec'd groups
+// through their own recovery managers — this process cannot place onto
+// processors it does not run), and every local stack then leaves its
+// ring's membership voluntarily, so peers excise this process without
+// suspicion strikes. The caller Stops the system afterwards;
+// cmd/immune-node uses this for its SIGTERM drain.
+func (s *System) Drain(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultReconfigTimeout
 	}

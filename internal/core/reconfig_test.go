@@ -46,7 +46,7 @@ func deployReconfig(t *testing.T, n int, level sec.Level) *reconfigDeploy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, ic, h, err := p.ClientORB(clientGroup)
+	o, ic, h, err := p.clientORB(clientGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +295,8 @@ func waitViews(t *testing.T, sys *System, want []ids.ProcessorID, timeout time.D
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := 0; r < sys.RingCount(); r++ {
-				got := p.ViewAt(r).Members
+			for r := 0; r < sys.Rings(); r++ {
+				got := p.stacks[r].View().Members
 				if len(got) != len(want) {
 					ok = false
 					break

@@ -97,9 +97,11 @@ func (r Reason) sticky() bool {
 	return r != ReasonSilent && r != ReasonUnresponsive && r != ReasonCorroborated
 }
 
-// Config parameterizes a detector.
-type Config struct {
-	Self ids.ProcessorID
+// Knobs are the detector's tuning values: the part of Config a deployment
+// may set. The layers above (smp, the public immune.Config) carry this
+// struct whole instead of re-declaring its fields, and New is the one
+// place the defaults are applied.
+type Knobs struct {
 	// SuspectTimeout is how long the token rotation may stall before the
 	// processor expected to act is suspected; 0 means 50ms.
 	SuspectTimeout time.Duration
@@ -107,7 +109,15 @@ type Config struct {
 	// tokens, mutant messages) a processor may accumulate before being
 	// suspected; 0 means 3. Strongly attributable offenses (signed
 	// mutant tokens, value-fault verdicts) suspect immediately.
+	// Deployments on lossy links raise it so sustained wire corruption —
+	// a link property — is not mistaken for processor misbehaviour.
 	StrikeThreshold int
+}
+
+// Config parameterizes a detector.
+type Config struct {
+	Self ids.ProcessorID
+	Knobs
 	// OnSuspect is invoked (from the event goroutine) whenever a
 	// processor becomes suspected. Optional.
 	OnSuspect func(p ids.ProcessorID, r Reason)
@@ -151,6 +161,9 @@ func New(cfg Config) *Detector {
 		suspects: make(map[ids.ProcessorID]Reason),
 	}
 }
+
+// Knobs returns the tuning values in effect, defaults applied.
+func (d *Detector) Knobs() Knobs { return d.cfg.Knobs }
 
 // SetView informs the detector of the currently installed processor
 // membership (sorted). Non-sticky suspicions of processors no longer in

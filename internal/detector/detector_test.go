@@ -14,7 +14,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestDetector(self ids.ProcessorID, clock *fakeClock) *Detector {
-	d := New(Config{Self: self, SuspectTimeout: 10 * time.Millisecond, Now: clock.now})
+	d := New(Config{Self: self, Knobs: Knobs{SuspectTimeout: 10 * time.Millisecond}, Now: clock.now})
 	d.SetView([]ids.ProcessorID{1, 2, 3, 4})
 	return d
 }
@@ -172,7 +172,7 @@ func TestOnSuspectFiresOnce(t *testing.T) {
 	c := &fakeClock{t: time.Unix(0, 0)}
 	var fired []ids.ProcessorID
 	d := New(Config{
-		Self: 1, SuspectTimeout: 10 * time.Millisecond, Now: c.now,
+		Self: 1, Knobs: Knobs{SuspectTimeout: 10 * time.Millisecond}, Now: c.now,
 		OnSuspect: func(p ids.ProcessorID, _ Reason) { fired = append(fired, p) },
 	})
 	d.SetView([]ids.ProcessorID{1, 2, 3})

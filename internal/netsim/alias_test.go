@@ -83,7 +83,7 @@ func (p *dupFirstPlan) Judge(Frame, ids.ProcessorID) (Verdict, time.Duration) {
 // must not show through the other (PR 2's zero-copy decoders alias
 // delivered payloads directly).
 func TestDuplicateCopiesDoNotAlias(t *testing.T) {
-	n := New(Config{Plan: &dupFirstPlan{}})
+	n := New(counted(Config{Plan: &dupFirstPlan{}}))
 	defer n.Close()
 	sender, _ := n.Attach(1)
 	recv, _ := n.Attach(2)
@@ -106,8 +106,8 @@ func TestDuplicateCopiesDoNotAlias(t *testing.T) {
 	if !bytes.Equal(second.Payload, orig) {
 		t.Fatalf("mutating the first copy leaked into the second: %q", second.Payload)
 	}
-	if s := n.Stats(); s.Duplicated != 1 || s.Delivered != 2 {
-		t.Fatalf("stats = %+v, want Duplicated=1 Delivered=2", s)
+	if s := n.cfg.Metrics; s.Duplicated.Load() != 1 || s.Delivered.Load() != 2 {
+		t.Fatalf("duplicated %d delivered %d, want 1 and 2", s.Duplicated.Load(), s.Delivered.Load())
 	}
 }
 

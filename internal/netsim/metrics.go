@@ -2,29 +2,23 @@ package netsim
 
 import "immune/internal/obs"
 
-// Metrics are the network's optional observability hooks, mirroring Stats
-// into a shared registry. The zero value is fully disabled (nil obs
-// handles are no-ops).
+// Metrics are the network's optional observability hooks: cumulative
+// counters of network-level events. The zero value is fully disabled (nil
+// obs handles are no-ops).
 type Metrics struct {
-	Sent       *obs.Counter
-	Delivered  *obs.Counter
-	Dropped    *obs.Counter
-	Corrupted  *obs.Counter
-	Duplicated *obs.Counter
-	BytesSent  *obs.Counter
+	Sent       *obs.Counter // frames submitted by endpoints
+	Delivered  *obs.Counter // frame copies placed in receiver mailboxes
+	Dropped    *obs.Counter // frame copies lost (fault plan or detached receiver)
+	Corrupted  *obs.Counter // frame copies corrupted in transit
+	Duplicated *obs.Counter // extra copies injected
+	BytesSent  *obs.Counter // payload bytes submitted
 }
 
-// MetricsFrom registers the network metric family in reg. A nil registry
-// yields the disabled zero value.
-func MetricsFrom(reg *obs.Registry) Metrics {
-	return MetricsFromPrefix(reg, "")
-}
-
-// MetricsFromPrefix registers the network metric family under
-// "<prefix>net.*". Each ring of a sharded system runs its own simulated
-// LAN; the prefix keeps their counters apart while the empty prefix
-// preserves the legacy single-network names.
-func MetricsFromPrefix(reg *obs.Registry, prefix string) Metrics {
+// MetricsFrom registers the network metric family in reg under
+// "<prefix>net.*". A nil registry yields the disabled zero value. Each
+// ring of a sharded system runs its own simulated LAN; the prefix keeps
+// their counters apart, and a single network uses the empty prefix.
+func MetricsFrom(reg *obs.Registry, prefix string) Metrics {
 	if reg == nil {
 		return Metrics{}
 	}

@@ -78,16 +78,6 @@ var _ FaultPlan = DeliverAll{}
 // Judge always delivers immediately.
 func (DeliverAll) Judge(Frame, ids.ProcessorID) (Verdict, time.Duration) { return Deliver, 0 }
 
-// Stats counts network-level events. All fields are cumulative.
-type Stats struct {
-	Sent       uint64 // frames submitted by endpoints
-	Delivered  uint64 // frame copies placed in receiver mailboxes
-	Dropped    uint64 // frame copies lost (fault plan or detached receiver)
-	Corrupted  uint64 // frame copies corrupted in transit
-	Duplicated uint64 // extra copies injected
-	BytesSent  uint64 // payload bytes submitted
-}
-
 // Config parameterizes a Network.
 type Config struct {
 	// Latency is the base one-way delivery delay. Zero means synchronous
@@ -102,8 +92,8 @@ type Config struct {
 	// Seed drives the deterministic RNG used for jitter and corruption
 	// byte selection.
 	Seed uint64
-	// Metrics are optional observability hooks mirroring Stats; the zero
-	// value disables them.
+	// Metrics are optional observability hooks; the zero value disables
+	// them.
 	Metrics Metrics
 }
 
@@ -119,9 +109,6 @@ type Network struct {
 	rng       *splitmix
 	closed    bool
 	timers    sync.WaitGroup
-
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // New creates a network with the given configuration.
@@ -180,13 +167,6 @@ func (n *Network) Detached(p ids.ProcessorID) bool {
 	return n.detached[p]
 }
 
-// Stats returns a snapshot of cumulative counters.
-func (n *Network) Stats() Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
-}
-
 // Close shuts the network down: all mailboxes are closed and in-flight
 // delayed deliveries are awaited.
 func (n *Network) Close() {
@@ -210,17 +190,13 @@ func (n *Network) Close() {
 
 // send routes one frame from an endpoint into the network.
 func (n *Network) send(f Frame) {
-	n.statsMu.Lock()
-	n.stats.Sent++
-	n.stats.BytesSent += uint64(len(f.Payload))
-	n.statsMu.Unlock()
 	n.cfg.Metrics.Sent.Inc()
 	n.cfg.Metrics.BytesSent.Add(uint64(len(f.Payload)))
 
 	n.mu.Lock()
 	if n.closed || n.detached[f.From] {
 		n.mu.Unlock()
-		n.countDropped(1)
+		n.cfg.Metrics.Dropped.Inc()
 		return
 	}
 	var receivers []*Endpoint
@@ -238,7 +214,7 @@ func (n *Network) send(f Frame) {
 	n.mu.Unlock()
 
 	if len(receivers) == 0 {
-		n.countDropped(1)
+		n.cfg.Metrics.Dropped.Inc()
 		return
 	}
 	for _, ep := range receivers {
@@ -262,19 +238,13 @@ func (n *Network) deliverOne(f Frame, ep *Endpoint) {
 	copies := 1
 	switch verdict {
 	case Drop:
-		n.countDropped(1)
+		n.cfg.Metrics.Dropped.Inc()
 		return
 	case Duplicate:
 		copies = 2
-		n.statsMu.Lock()
-		n.stats.Duplicated++
-		n.statsMu.Unlock()
 		n.cfg.Metrics.Duplicated.Inc()
 	case Corrupt:
 		n.corrupt(f.Payload)
-		n.statsMu.Lock()
-		n.stats.Corrupted++
-		n.statsMu.Unlock()
 		n.cfg.Metrics.Corrupted.Inc()
 	case Deliver:
 	default:
@@ -315,10 +285,10 @@ func (n *Network) deposit(f Frame, ep *Endpoint) {
 	gone := n.closed || n.detached[ep.id]
 	n.mu.Unlock()
 	if gone || !ep.box.put(f) {
-		n.countDropped(1)
+		n.cfg.Metrics.Dropped.Inc()
 		return
 	}
-	n.countDelivered(1)
+	n.cfg.Metrics.Delivered.Inc()
 }
 
 // corrupt flips a random byte of the payload in place (callers pass a
@@ -328,20 +298,6 @@ func (n *Network) corrupt(p []byte) {
 		idx := int(n.rng.uint64n(uint64(len(p))))
 		p[idx] ^= 0x5a
 	}
-}
-
-func (n *Network) countDropped(c uint64) {
-	n.statsMu.Lock()
-	n.stats.Dropped += c
-	n.statsMu.Unlock()
-	n.cfg.Metrics.Dropped.Add(c)
-}
-
-func (n *Network) countDelivered(c uint64) {
-	n.statsMu.Lock()
-	n.stats.Delivered += c
-	n.statsMu.Unlock()
-	n.cfg.Metrics.Delivered.Add(c)
 }
 
 // Endpoint is one processor's attachment to the network. It is the

@@ -6,7 +6,15 @@ import (
 	"time"
 
 	"immune/internal/ids"
+	"immune/internal/obs"
 )
+
+// counted gives a network under test its own registry, so the test can
+// read its counters back through n.cfg.Metrics.
+func counted(cfg Config) Config {
+	cfg.Metrics = MetricsFrom(obs.NewRegistry(), "")
+	return cfg
+}
 
 func mustAttach(t *testing.T, n *Network, p ids.ProcessorID) *Endpoint {
 	t.Helper()
@@ -56,12 +64,12 @@ func TestMulticastReachesAllButSender(t *testing.T) {
 }
 
 func TestSendToUnknownProcessorIsDropped(t *testing.T) {
-	n := New(Config{})
+	n := New(counted(Config{}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	a.Send(42, []byte("void"))
-	if s := n.Stats(); s.Dropped != 1 || s.Delivered != 0 {
-		t.Fatalf("stats = %+v, want 1 drop 0 deliveries", s)
+	if s := n.cfg.Metrics; s.Dropped.Load() != 1 || s.Delivered.Load() != 0 {
+		t.Fatalf("dropped %d delivered %d, want 1 drop 0 deliveries", s.Dropped.Load(), s.Delivered.Load())
 	}
 }
 
@@ -126,7 +134,7 @@ func TestCorruptionPlan(t *testing.T) {
 	plan := PlanFunc(func(Frame, ids.ProcessorID) (Verdict, time.Duration) {
 		return Corrupt, 0
 	})
-	n := New(Config{Plan: plan, Seed: 7})
+	n := New(counted(Config{Plan: plan, Seed: 7}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	b := mustAttach(t, n, 2)
@@ -140,8 +148,8 @@ func TestCorruptionPlan(t *testing.T) {
 	if len(f.Payload) != len(orig) {
 		t.Fatalf("corruption changed length: %d != %d", len(f.Payload), len(orig))
 	}
-	if s := n.Stats(); s.Corrupted != 1 {
-		t.Fatalf("Corrupted = %d, want 1", s.Corrupted)
+	if s := n.cfg.Metrics; s.Corrupted.Load() != 1 {
+		t.Fatalf("Corrupted = %d, want 1", s.Corrupted.Load())
 	}
 }
 
@@ -149,7 +157,7 @@ func TestDuplicationPlan(t *testing.T) {
 	plan := PlanFunc(func(Frame, ids.ProcessorID) (Verdict, time.Duration) {
 		return Duplicate, 0
 	})
-	n := New(Config{Plan: plan})
+	n := New(counted(Config{Plan: plan}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	b := mustAttach(t, n, 2)
@@ -160,8 +168,8 @@ func TestDuplicationPlan(t *testing.T) {
 			t.Fatalf("copy %d missing", i)
 		}
 	}
-	if s := n.Stats(); s.Duplicated != 1 || s.Delivered != 2 {
-		t.Fatalf("stats = %+v", s)
+	if s := n.cfg.Metrics; s.Duplicated.Load() != 1 || s.Delivered.Load() != 2 {
+		t.Fatalf("duplicated %d delivered %d, want 1 and 2", s.Duplicated.Load(), s.Delivered.Load())
 	}
 }
 
@@ -232,7 +240,7 @@ func TestChainFirstNonDeliverWins(t *testing.T) {
 
 func TestProbabilisticRoughRates(t *testing.T) {
 	plan := NewProbabilistic(99, 0.5, 0, 0, 0)
-	n := New(Config{Plan: plan})
+	n := New(counted(Config{Plan: plan}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	mustAttach(t, n, 2)
@@ -241,11 +249,11 @@ func TestProbabilisticRoughRates(t *testing.T) {
 	for i := 0; i < total; i++ {
 		a.Send(2, []byte{byte(i)})
 	}
-	s := n.Stats()
-	if s.Delivered+s.Dropped != total {
-		t.Fatalf("delivered %d + dropped %d != %d", s.Delivered, s.Dropped, total)
+	s := n.cfg.Metrics
+	if s.Delivered.Load()+s.Dropped.Load() != total {
+		t.Fatalf("delivered %d + dropped %d != %d", s.Delivered.Load(), s.Dropped.Load(), total)
 	}
-	ratio := float64(s.Dropped) / float64(total)
+	ratio := float64(s.Dropped.Load()) / float64(total)
 	if ratio < 0.4 || ratio > 0.6 {
 		t.Fatalf("loss ratio %.3f far from configured 0.5", ratio)
 	}
@@ -308,16 +316,16 @@ func TestTryRecv(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	n := New(Config{})
+	n := New(counted(Config{}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	mustAttach(t, n, 2)
 	mustAttach(t, n, 3)
 
 	a.Multicast(bytes.Repeat([]byte{1}, 10))
-	s := n.Stats()
-	if s.Sent != 1 || s.Delivered != 2 || s.BytesSent != 10 {
-		t.Fatalf("stats = %+v", s)
+	s := n.cfg.Metrics
+	if s.Sent.Load() != 1 || s.Delivered.Load() != 2 || s.BytesSent.Load() != 10 {
+		t.Fatalf("sent %d delivered %d bytes %d, want 1, 2, 10", s.Sent.Load(), s.Delivered.Load(), s.BytesSent.Load())
 	}
 }
 
@@ -360,7 +368,7 @@ func TestProbabilisticExtraDelay(t *testing.T) {
 
 func TestProbabilisticDuplicationRate(t *testing.T) {
 	plan := NewProbabilistic(44, 0, 0, 0.3, 0)
-	n := New(Config{Plan: plan})
+	n := New(counted(Config{Plan: plan}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	mustAttach(t, n, 2)
@@ -368,13 +376,13 @@ func TestProbabilisticDuplicationRate(t *testing.T) {
 	for i := 0; i < total; i++ {
 		a.Send(2, []byte{byte(i)})
 	}
-	s := n.Stats()
-	ratio := float64(s.Duplicated) / float64(total)
+	s := n.cfg.Metrics
+	ratio := float64(s.Duplicated.Load()) / float64(total)
 	if ratio < 0.2 || ratio > 0.4 {
 		t.Fatalf("duplication ratio %.3f far from 0.3", ratio)
 	}
-	if s.Delivered != total+s.Duplicated {
-		t.Fatalf("delivered %d != sent %d + dup %d", s.Delivered, total, s.Duplicated)
+	if s.Delivered.Load() != total+s.Duplicated.Load() {
+		t.Fatalf("delivered %d != sent %d + dup %d", s.Delivered.Load(), total, s.Duplicated.Load())
 	}
 }
 
@@ -395,7 +403,7 @@ func TestBroadcastWithDetachedReceiver(t *testing.T) {
 }
 
 func TestDelayedFrameNotDeliveredAfterDetach(t *testing.T) {
-	n := New(Config{Latency: 10 * time.Millisecond})
+	n := New(counted(Config{Latency: 10 * time.Millisecond}))
 	defer n.Close()
 	a := mustAttach(t, n, 1)
 	b := mustAttach(t, n, 2)
@@ -406,27 +414,27 @@ func TestDelayedFrameNotDeliveredAfterDetach(t *testing.T) {
 	if b.Pending() != 0 {
 		t.Fatalf("detached receiver got %d delayed frames", b.Pending())
 	}
-	s := n.Stats()
-	if s.Delivered != 0 {
-		t.Fatalf("delivered = %d, want 0 (frame was in flight at detach)", s.Delivered)
+	s := n.cfg.Metrics
+	if s.Delivered.Load() != 0 {
+		t.Fatalf("delivered = %d, want 0 (frame was in flight at detach)", s.Delivered.Load())
 	}
-	if s.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", s.Dropped)
+	if s.Dropped.Load() != 1 {
+		t.Fatalf("dropped = %d, want 1", s.Dropped.Load())
 	}
 }
 
 func TestDelayedFrameNotCountedAfterClose(t *testing.T) {
-	n := New(Config{Latency: 10 * time.Millisecond})
+	n := New(counted(Config{Latency: 10 * time.Millisecond}))
 	a := mustAttach(t, n, 1)
 	mustAttach(t, n, 2)
 
 	a.Send(2, []byte("in flight"))
 	n.Close() // waits for the in-flight timer; the late frame must drop
-	s := n.Stats()
-	if s.Delivered != 0 {
-		t.Fatalf("delivered = %d, want 0 (network closed before delivery)", s.Delivered)
+	s := n.cfg.Metrics
+	if s.Delivered.Load() != 0 {
+		t.Fatalf("delivered = %d, want 0 (network closed before delivery)", s.Delivered.Load())
 	}
-	if s.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", s.Dropped)
+	if s.Dropped.Load() != 1 {
+		t.Fatalf("dropped = %d, want 1", s.Dropped.Load())
 	}
 }

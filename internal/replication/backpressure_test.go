@@ -8,6 +8,7 @@ import (
 	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/iiop"
+	"immune/internal/obs"
 )
 
 // backlogRig builds one manager whose server replica is wedged mid state
@@ -21,6 +22,7 @@ func backlogRig(t *testing.T, cfg Config) (*bus, *Manager, *echoServant, *Handle
 	cfg.Stack = &busStack{b: b, self: 2}
 	cfg.Processors = 2
 	cfg.CallTimeout = 5 * time.Second
+	cfg.Metrics = MetricsFrom(obs.NewRegistry())
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +102,7 @@ func releaseTransfer(t *testing.T, b *bus, marker uint64) {
 func TestBacklogCapShedsOldest(t *testing.T) {
 	b, m, sv, h, marker := backlogRig(t, Config{MaxBacklog: 4, BacklogTTL: -1})
 	sendInvocations(t, b, 1, 10)
-	if shed := m.Stats().BacklogShed; shed != 6 {
+	if shed := m.met.BacklogShed.Load(); shed != 6 {
 		t.Fatalf("BacklogShed = %d, want 6", shed)
 	}
 	releaseTransfer(t, b, marker)
@@ -120,7 +122,7 @@ func TestBacklogTTLExpiresStaleEntries(t *testing.T) {
 	sendInvocations(t, b, 1, 3)
 	time.Sleep(50 * time.Millisecond) // let the first batch age past the TTL
 	sendInvocations(t, b, 4, 1)
-	if shed := m.Stats().BacklogShed; shed != 3 {
+	if shed := m.met.BacklogShed.Load(); shed != 3 {
 		t.Fatalf("BacklogShed = %d, want 3 (TTL)", shed)
 	}
 	releaseTransfer(t, b, marker)
@@ -142,6 +144,7 @@ func TestInFlightCapRejects(t *testing.T) {
 		Processors:  1,
 		CallTimeout: 5 * time.Second,
 		MaxInFlight: 2,
+		Metrics:     MetricsFrom(obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +176,7 @@ func TestInFlightCapRejects(t *testing.T) {
 	if _, _, _, err := h.prepare(serverG, raw, true); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("prepare past cap: err = %v, want ErrOverloaded", err)
 	}
-	if rej := m.Stats().OverloadRejects; rej != 1 {
+	if rej := m.met.OverloadRejects.Load(); rej != 1 {
 		t.Fatalf("OverloadRejects = %d, want 1", rej)
 	}
 

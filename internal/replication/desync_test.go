@@ -6,6 +6,7 @@ import (
 
 	"immune/internal/ids"
 	"immune/internal/iiop"
+	"immune/internal/obs"
 )
 
 // TestBehindInstallRebuildsServerReplicas: a processor that installs a
@@ -23,6 +24,7 @@ func TestBehindInstallRebuildsServerReplicas(t *testing.T) {
 		m, err := NewManager(Config{
 			Stack:      &busStack{b: b, self: ids.ProcessorID(i)},
 			Processors: 3, CallTimeout: 5 * time.Second,
+			Metrics: MetricsFrom(obs.NewRegistry()),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +80,7 @@ func TestBehindInstallRebuildsServerReplicas(t *testing.T) {
 	managers[2].OnMembershipInstall(2, []ids.ProcessorID{1, 2, 3}, false)
 	b.settle(t)
 
-	if got := managers[1].Stats().Desyncs; got != 1 {
+	if got := managers[1].met.Desyncs.Load(); got != 1 {
 		t.Fatalf("Desyncs = %d, want 1", got)
 	}
 	if err := h2.WaitActive(5 * time.Second); err != nil {
@@ -121,7 +123,7 @@ func TestBehindInstallRebuildsServerReplicas(t *testing.T) {
 		t.Fatalf("post-rejoin sum = %d, want 12", sum)
 	}
 	for i, m := range managers {
-		if vf := m.Stats().ValueFaults; vf != 0 {
+		if vf := m.met.ValueFaults.Load(); vf != 0 {
 			t.Fatalf("manager %d observed %d value faults after rebuild", i+1, vf)
 		}
 	}

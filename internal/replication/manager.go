@@ -41,28 +41,13 @@ type Multicaster interface {
 	ValueFaultSuspect(p ids.ProcessorID)
 }
 
-// Stats counts Replication Manager events.
-type Stats struct {
-	InvocationsSent     uint64 // client-role invocations multicast
-	ResponsesSent       uint64 // server-role responses multicast
-	ResponsesResent     uint64 // retained replies re-sent for retried invocations
-	InvocationsDecided  uint64 // voted invocations dispatched to servants
-	ResponsesDecided    uint64 // voted responses delivered to callers
-	DuplicatesDiscarded uint64 // copies suppressed after decisions
-	ValueFaults         uint64 // deviant copies observed locally
-	StateTransfers      uint64 // snapshots installed on joining replicas
-	OverloadRejects     uint64 // invocations shed by the in-flight cap
-	BacklogShed         uint64 // backlog entries shed (cap or TTL)
-	Desyncs             uint64 // behind installs forcing replica rebuilds
-}
-
 // Config parameterizes a Manager.
 type Config struct {
 	Stack Multicaster
 	// Processors is the initial processor membership size, used by the
 	// value fault detector's corroboration threshold.
 	Processors int
-	// CallTimeout bounds client-role invocations; 0 means 10s.
+	// CallTimeout bounds client-role two-way invocations; 0 means 10s.
 	CallTimeout time.Duration
 	// Retries is the number of idempotent re-sends a two-way invocation
 	// may attempt within its deadline. Re-sending is safe: the operation
@@ -127,22 +112,11 @@ type Config struct {
 
 // Manager is one processor's Replication Manager.
 type Manager struct {
-	stack        Multicaster
-	self         ids.ProcessorID
-	callTimeout  time.Duration
-	retries      int
-	retryBackoff time.Duration
-	jitter       *sec.SeededRand
-	maxInFlight  int
-	maxBacklog   int
-	backlogTTL   time.Duration
-	onChange     func()
-	met          Metrics
-	tracer       *obs.Tracer
-	invVM        voting.Metrics
-	respVM       voting.Metrics
-	route        func(dest ids.ObjectGroupID, payload []byte) error
-	mirror       func(msg *group.Message)
+	cfg    Config          // as given to NewManager, defaults applied
+	self   ids.ProcessorID // cfg.Stack.Self()
+	stack  Multicaster     // cfg.Stack, cfg.Metrics, cfg.Tracer under
+	met    Metrics         // the short names the invoke path uses
+	tracer *obs.Tracer
 
 	mu        sync.Mutex
 	dir       *group.Directory
@@ -161,7 +135,6 @@ type Manager struct {
 	needSync  bool                       // excluded at some point; directory resync pending
 	syncID    uint64                     // membership install whose directory dump we await
 	syncBuf   []*group.Message           // deliveries buffered until the dump arrives
-	stats     Stats
 }
 
 // invokeResult is what a two-way waiter receives: the voted reply or a
@@ -287,36 +260,25 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.BacklogTTL = DefaultBacklogTTL
 	}
 	m := &Manager{
-		stack:        cfg.Stack,
-		self:         cfg.Stack.Self(),
-		callTimeout:  cfg.CallTimeout,
-		retries:      cfg.Retries,
-		retryBackoff: cfg.RetryBackoff,
-		jitter:       cfg.Jitter,
-		maxInFlight:  cfg.MaxInFlight,
-		maxBacklog:   cfg.MaxBacklog,
-		backlogTTL:   cfg.BacklogTTL,
-		onChange:     cfg.OnChange,
-		met:          cfg.Metrics,
-		tracer:       cfg.Tracer,
-		invVM:        cfg.InvVoting,
-		respVM:       cfg.RespVoting,
-		route:        cfg.Route,
-		mirror:       cfg.Mirror,
-		dir:          group.NewDirectory(),
-		hosted:       make(map[ids.ObjectGroupID]*replicaState),
-		waiters:      make(map[ids.OperationID]*waiter),
-		invDest:      make(map[ids.OperationID]ids.ObjectGroupID),
-		joinSeq:      make(map[ids.ObjectGroupID]uint64),
-		members:      make(map[ids.ReplicaID]*memberInfo),
-		pending:      make(map[ids.ReplicaID]*stateWait),
-		respCache:    make(map[ids.OperationID][]byte),
-		degreeHW:     make(map[ids.ObjectGroupID]int),
+		cfg:       cfg,
+		stack:     cfg.Stack,
+		self:      cfg.Stack.Self(),
+		met:       cfg.Metrics,
+		tracer:    cfg.Tracer,
+		dir:       group.NewDirectory(),
+		hosted:    make(map[ids.ObjectGroupID]*replicaState),
+		waiters:   make(map[ids.OperationID]*waiter),
+		invDest:   make(map[ids.OperationID]ids.ObjectGroupID),
+		joinSeq:   make(map[ids.ObjectGroupID]uint64),
+		members:   make(map[ids.ReplicaID]*memberInfo),
+		pending:   make(map[ids.ReplicaID]*stateWait),
+		respCache: make(map[ids.OperationID][]byte),
+		degreeHW:  make(map[ids.ObjectGroupID]int),
 	}
 	m.invVoter = voting.NewVoter(m.dir.Size)
 	m.respVoter = voting.NewVoter(m.dir.Size)
-	m.invVoter.SetMetrics(m.invVM)
-	m.respVoter.SetMetrics(m.respVM)
+	m.invVoter.SetMetrics(m.cfg.InvVoting)
+	m.respVoter.SetMetrics(m.cfg.RespVoting)
 	m.vfd = newValueFaultDetector(cfg.Processors, func(r ids.ReplicaID) {
 		m.stack.ValueFaultSuspect(r.Processor)
 	})
@@ -332,8 +294,8 @@ func NewManager(cfg Config) (*Manager, error) {
 // dest. Without a Route hook every group lives on this manager's own
 // stack.
 func (m *Manager) submitRouted(dest ids.ObjectGroupID, payload []byte) error {
-	if m.route != nil {
-		return m.route(dest, payload)
+	if m.cfg.Route != nil {
+		return m.cfg.Route(dest, payload)
 	}
 	return m.stack.Submit(payload)
 }
@@ -341,10 +303,13 @@ func (m *Manager) submitRouted(dest ids.ObjectGroupID, payload []byte) error {
 // mirrorSubmitted reflects a successfully submitted membership message to
 // the routing layer, if one is installed.
 func (m *Manager) mirrorSubmitted(msg *group.Message) {
-	if m.mirror != nil {
-		m.mirror(msg)
+	if m.cfg.Mirror != nil {
+		m.cfg.Mirror(msg)
 	}
 }
+
+// Config returns the manager's configuration with its defaults applied.
+func (m *Manager) Config() Config { return m.cfg }
 
 // Directory exposes the object-group membership view (read-only use).
 // The returned snapshot is internally synchronized but is replaced when
@@ -355,18 +320,11 @@ func (m *Manager) Directory() *group.Directory {
 	return m.dir
 }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
 // notifyChangeLocked fires the OnChange hook after activation, resync, or
 // membership changes. Caller holds m.mu; the hook must not block.
 func (m *Manager) notifyChangeLocked() {
-	if m.onChange != nil {
-		m.onChange()
+	if m.cfg.OnChange != nil {
+		m.cfg.OnChange()
 	}
 }
 
@@ -414,29 +372,24 @@ func (m *Manager) dropWaiterLocked(op ids.OperationID) (chan invokeResult, bool)
 func (m *Manager) pushBacklogLocked(st *replicaState, op ids.OperationID, payload []byte) {
 	now := time.Now()
 	bl := st.backlog
-	if m.backlogTTL > 0 {
+	if m.cfg.BacklogTTL > 0 {
 		cut := 0
-		for cut < len(bl) && now.Sub(bl[cut].at) > m.backlogTTL {
+		for cut < len(bl) && now.Sub(bl[cut].at) > m.cfg.BacklogTTL {
 			cut++
 		}
 		if cut > 0 {
 			bl = append([]backlogEntry(nil), bl[cut:]...)
-			m.shedBacklog(uint64(cut))
+			m.met.BacklogShed.Add(uint64(cut))
 		}
 	}
 	bl = append(bl, backlogEntry{op: op, payload: payload, at: now})
-	if m.maxBacklog > 0 && len(bl) > m.maxBacklog {
-		over := len(bl) - m.maxBacklog
+	if m.cfg.MaxBacklog > 0 && len(bl) > m.cfg.MaxBacklog {
+		over := len(bl) - m.cfg.MaxBacklog
 		bl = append([]backlogEntry(nil), bl[over:]...)
-		m.shedBacklog(uint64(over))
+		m.met.BacklogShed.Add(uint64(over))
 	}
 	m.met.Backlog.Add(int64(len(bl) - len(st.backlog)))
 	st.backlog = bl
-}
-
-func (m *Manager) shedBacklog(n uint64) {
-	m.stats.BacklogShed += n
-	m.met.BacklogShed.Add(n)
 }
 
 // takeBacklogLocked empties a replica's backlog (activation replay or
@@ -581,14 +534,14 @@ func (h *Handle) Invoke(target ids.ObjectGroupID, iiopRequest []byte) ([]byte, e
 // ErrNotActive, ErrQuorumLost, or ErrGroupDegraded (match with errors.Is).
 func (h *Handle) InvokeDeadline(target ids.ObjectGroupID, iiopRequest []byte, deadline time.Time) ([]byte, error) {
 	if deadline.IsZero() {
-		deadline = time.Now().Add(h.m.callTimeout)
+		deadline = time.Now().Add(h.m.cfg.CallTimeout)
 	}
 	op, ch, msg, err := h.prepare(target, iiopRequest, true)
 	if err != nil {
 		return nil, err
 	}
 	var rawRetry []byte // lazily marshaled first time a re-send happens
-	attempts := h.m.retries + 1
+	attempts := h.m.cfg.Retries + 1
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
 		<-timer.C
@@ -625,7 +578,7 @@ func (h *Handle) InvokeDeadline(target ids.ObjectGroupID, iiopRequest []byte, de
 		// Jittered backoff, then re-multicast the invocation as a retry
 		// (same operation id — voters discard copies of decided
 		// operations, and executed replicas answer from reply retention).
-		backoff := sec.JitteredBackoff(h.m.retryBackoff, attempt, 250*time.Millisecond, h.m.jitter)
+		backoff := sec.JitteredBackoff(h.m.cfg.RetryBackoff, attempt, 250*time.Millisecond, h.m.cfg.Jitter)
 		if wait := time.Until(deadline); backoff > wait {
 			backoff = wait
 		}
@@ -699,15 +652,14 @@ func (h *Handle) prepare(target ids.ObjectGroupID, iiopRequest []byte, twoway bo
 		m.mu.Unlock()
 		return ids.OperationID{}, nil, nil, fmt.Errorf("replication: replica %s: %w", h.st.id, ErrNotActive)
 	}
-	if twoway && m.maxInFlight > 0 && h.st.inflight >= m.maxInFlight {
+	if twoway && m.cfg.MaxInFlight > 0 && h.st.inflight >= m.cfg.MaxInFlight {
 		// Admission control: past the in-flight cap the call is shed
 		// before any copy is multicast, so the caller can back off and
 		// retry without risking duplicate execution.
-		m.stats.OverloadRejects++
 		m.mu.Unlock()
 		m.met.OverloadRejects.Inc()
 		return ids.OperationID{}, nil, nil, fmt.Errorf("replication: replica %s: %d invocations in flight: %w",
-			h.st.id, m.maxInFlight, ErrOverloaded)
+			h.st.id, m.cfg.MaxInFlight, ErrOverloaded)
 	}
 	h.st.opSeq++
 	op := ids.OperationID{ClientGroup: h.st.id.Group, Seq: h.st.opSeq}
@@ -726,7 +678,6 @@ func (h *Handle) prepare(target ids.ObjectGroupID, iiopRequest []byte, twoway bo
 			m.met.InFlight.Add(1)
 		}
 	}
-	m.stats.InvocationsSent++
 	m.mu.Unlock()
 	m.met.InvocationsSent.Inc()
 
@@ -743,7 +694,6 @@ func (h *Handle) prepare(target ids.ObjectGroupID, iiopRequest []byte, twoway bo
 			m.dropWaiterLocked(op)
 		}
 		if errors.Is(err, ErrOverloaded) {
-			m.stats.OverloadRejects++
 			m.met.OverloadRejects.Inc()
 		}
 		m.mu.Unlock()
@@ -955,7 +905,6 @@ func (m *Manager) handleInvocation(msg *group.Message) {
 		return
 	}
 	delete(m.invDest, msg.Op)
-	m.stats.InvocationsDecided++
 	m.met.InvocationsDecided.Inc()
 	m.tracer.Mark(msg.Op, obs.StageVoted)
 	if !st.active {
@@ -978,7 +927,6 @@ func (m *Manager) dispatchInvocation(st *replicaState, op ids.OperationID, iiopR
 	// when the client retries.
 	retainReplyLocked(st, op, reply)
 	if err := m.submitRouted(op.ClientGroup, m.responseFor(st, op, reply)); err == nil {
-		m.stats.ResponsesSent++
 		m.met.ResponsesSent.Inc()
 		m.tracer.Mark(op, obs.StageExecuted)
 	}
@@ -1028,7 +976,6 @@ func (m *Manager) resendReplyLocked(st *replicaState, op ids.OperationID) {
 		return
 	}
 	if err := m.submitRouted(op.ClientGroup, m.responseFor(st, op, reply)); err == nil {
-		m.stats.ResponsesResent++
 		m.met.ResponsesResent.Inc()
 	}
 }
@@ -1048,7 +995,6 @@ func (m *Manager) handleResponse(msg *group.Message) {
 	if !out.Decided {
 		return
 	}
-	m.stats.ResponsesDecided++
 	m.met.ResponsesDecided.Inc()
 	m.tracer.Mark(msg.Op, obs.StageRespVoted)
 	m.deliverResponseLocked(msg.Op, out.Payload)
@@ -1080,7 +1026,6 @@ func (m *Manager) deliverResponseLocked(op ids.OperationID, payload []byte) {
 // Caller holds m.mu.
 func (m *Manager) noteOutcome(msg *group.Message, out voting.Outcome, d [sec.DigestSize]byte) {
 	if out.Duplicate {
-		m.stats.DuplicatesDiscarded++
 		m.met.Duplicates.Inc()
 	}
 	var deviants []ids.ReplicaID
@@ -1091,7 +1036,6 @@ func (m *Manager) noteOutcome(msg *group.Message, out voting.Outcome, d [sec.Dig
 	if len(deviants) == 0 {
 		return
 	}
-	m.stats.ValueFaults += uint64(len(deviants))
 	m.met.ValueFaults.Add(uint64(len(deviants)))
 	// Local observation, then a Value_Fault_Vote to the base group so
 	// that every Replication Manager reaches the same verdict (§6.2).
@@ -1164,7 +1108,6 @@ func (m *Manager) handleState(msg *group.Message) {
 	// re-hostings the response vote would lose its quorum for good.
 	st.replies = replies
 	st.replyLog = replyLog
-	m.stats.StateTransfers++
 	m.met.StateTransfers.Inc()
 	// activateLocked replays the backlog accumulated during the transfer.
 	m.activateLocked(st)
@@ -1331,8 +1274,8 @@ func (m *Manager) resetLocked() {
 	m.dir = group.NewDirectory()
 	m.invVoter = voting.NewVoter(m.dir.Size)
 	m.respVoter = voting.NewVoter(m.dir.Size)
-	m.invVoter.SetMetrics(m.invVM)
-	m.respVoter.SetMetrics(m.respVM)
+	m.invVoter.SetMetrics(m.cfg.InvVoting)
+	m.respVoter.SetMetrics(m.cfg.RespVoting)
 	m.invDest = make(map[ids.OperationID]ids.ObjectGroupID)
 	m.joinSeq = make(map[ids.ObjectGroupID]uint64)
 	m.members = make(map[ids.ReplicaID]*memberInfo)
@@ -1357,7 +1300,6 @@ func (m *Manager) resetLocked() {
 // state transfer (KindRejoin), because it may have silently missed
 // decided operations that its peers executed. Caller holds m.mu.
 func (m *Manager) desyncLocked(installID uint64) {
-	m.stats.Desyncs++
 	m.met.Desyncs.Inc()
 	m.needSync = true
 	m.syncID = installID
@@ -1609,8 +1551,8 @@ func (m *Manager) applySyncLocked(state *group.SyncState) {
 	m.dir = group.NewDirectory()
 	m.invVoter = voting.NewVoter(m.dir.Size)
 	m.respVoter = voting.NewVoter(m.dir.Size)
-	m.invVoter.SetMetrics(m.invVM)
-	m.respVoter.SetMetrics(m.respVM)
+	m.invVoter.SetMetrics(m.cfg.InvVoting)
+	m.respVoter.SetMetrics(m.cfg.RespVoting)
 	m.invDest = make(map[ids.OperationID]ids.ObjectGroupID)
 	m.joinSeq = make(map[ids.ObjectGroupID]uint64)
 	m.members = make(map[ids.ReplicaID]*memberInfo)
@@ -1727,7 +1669,6 @@ func (m *Manager) EvictReplica(r ids.ReplicaID) error {
 // or degree change. Caller holds m.mu.
 func (m *Manager) recheckLocked() {
 	for _, dec := range m.invVoter.Recheck() {
-		m.stats.InvocationsDecided++
 		m.met.InvocationsDecided.Inc()
 		dest, ok := m.invDest[dec.Op]
 		if !ok {
@@ -1745,7 +1686,6 @@ func (m *Manager) recheckLocked() {
 		m.dispatchInvocation(st, dec.Op, dec.Payload)
 	}
 	for _, dec := range m.respVoter.Recheck() {
-		m.stats.ResponsesDecided++
 		m.met.ResponsesDecided.Inc()
 		m.deliverResponseLocked(dec.Op, dec.Payload)
 	}

@@ -11,6 +11,7 @@ import (
 	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/iiop"
+	"immune/internal/obs"
 	"immune/internal/orb"
 )
 
@@ -217,6 +218,7 @@ func newFixture(t *testing.T, n int) *fixture {
 			Stack:       &busStack{b: f.b, self: ids.ProcessorID(i)},
 			Processors:  n,
 			CallTimeout: 5 * time.Second,
+			Metrics:     MetricsFrom(obs.NewRegistry()),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -459,8 +461,8 @@ func TestOneWayInvocation(t *testing.T) {
 		}
 	}
 	for i, m := range f.managers {
-		if st := m.Stats(); st.ResponsesSent != 0 {
-			t.Fatalf("manager %d sent %d responses to a one-way", i, st.ResponsesSent)
+		if st := m.met; st.ResponsesSent.Load() != 0 {
+			t.Fatalf("manager %d sent %d responses to a one-way", i, st.ResponsesSent.Load())
 		}
 	}
 }

@@ -2,15 +2,19 @@ package replication
 
 import "immune/internal/obs"
 
-// Metrics are the Replication Manager's optional observability hooks,
-// mirroring Stats into a shared registry. The zero value is fully disabled
-// (nil obs handles are no-ops).
+// Metrics are the Replication Manager's optional observability hooks:
+// cumulative event counters and two depth gauges. The zero value is fully
+// disabled (nil obs handles are no-ops).
 type Metrics struct {
+	// InvocationsSent counts client-role invocations multicast;
+	// ResponsesSent server-role responses multicast.
 	InvocationsSent *obs.Counter
 	ResponsesSent   *obs.Counter
 	// ResponsesResent counts retained replies re-sent for invocation
 	// retries (at-most-once reply retention, not re-execution).
-	ResponsesResent    *obs.Counter
+	ResponsesResent *obs.Counter
+	// InvocationsDecided counts voted invocations dispatched to
+	// servants; ResponsesDecided voted responses delivered to callers.
 	InvocationsDecided *obs.Counter
 	ResponsesDecided   *obs.Counter
 	// Duplicates counts copies suppressed after decisions (§5.1).

@@ -8,6 +8,7 @@ import (
 	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/iiop"
+	"immune/internal/obs"
 )
 
 // retryRig builds one manager on P2 whose server replica is active (it is
@@ -20,6 +21,7 @@ func retryRig(t *testing.T) (*bus, *Manager) {
 		Stack:       &busStack{b: b, self: 2},
 		Processors:  2,
 		CallTimeout: 5 * time.Second,
+		Metrics:     MetricsFrom(obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +69,9 @@ func TestRetryResendsRetainedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.settle(t)
-	if st := m.Stats(); st.ResponsesSent != 1 || st.ResponsesResent != 0 {
+	if st := m.met; st.ResponsesSent.Load() != 1 || st.ResponsesResent.Load() != 0 {
 		t.Fatalf("after invocation: ResponsesSent=%d ResponsesResent=%d, want 1, 0",
-			st.ResponsesSent, st.ResponsesResent)
+			st.ResponsesSent.Load(), st.ResponsesResent.Load())
 	}
 
 	// The client's re-send: same operation, retry kind.
@@ -77,12 +79,12 @@ func TestRetryResendsRetainedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.settle(t)
-	st := m.Stats()
-	if st.ResponsesResent != 1 {
-		t.Fatalf("after retry: ResponsesResent = %d, want 1", st.ResponsesResent)
+	st := m.met
+	if st.ResponsesResent.Load() != 1 {
+		t.Fatalf("after retry: ResponsesResent = %d, want 1", st.ResponsesResent.Load())
 	}
-	if st.ResponsesSent != 1 {
-		t.Fatalf("after retry: ResponsesSent = %d, want 1 (no re-execution)", st.ResponsesSent)
+	if st.ResponsesSent.Load() != 1 {
+		t.Fatalf("after retry: ResponsesSent = %d, want 1 (no re-execution)", st.ResponsesSent.Load())
 	}
 
 	// A plain duplicate copy (not a retry) stays a silent discard.
@@ -90,8 +92,8 @@ func TestRetryResendsRetainedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.settle(t)
-	if st := m.Stats(); st.ResponsesResent != 1 {
-		t.Fatalf("after duplicate: ResponsesResent = %d, want 1", st.ResponsesResent)
+	if st := m.met; st.ResponsesResent.Load() != 1 {
+		t.Fatalf("after duplicate: ResponsesResent = %d, want 1", st.ResponsesResent.Load())
 	}
 
 	// A retry for an operation never seen contributes a first vote (the
@@ -100,9 +102,9 @@ func TestRetryResendsRetainedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.settle(t)
-	if st := m.Stats(); st.ResponsesSent != 2 || st.ResponsesResent != 1 {
+	if st := m.met; st.ResponsesSent.Load() != 2 || st.ResponsesResent.Load() != 1 {
 		t.Fatalf("retry-as-first-copy: ResponsesSent=%d ResponsesResent=%d, want 2, 1",
-			st.ResponsesSent, st.ResponsesResent)
+			st.ResponsesSent.Load(), st.ResponsesResent.Load())
 	}
 }
 

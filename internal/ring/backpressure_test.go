@@ -36,7 +36,7 @@ func TestSubmitQueueBound(t *testing.T) {
 	if q := r.QueuedSubmissions(); q != 8 {
 		t.Fatalf("queued = %d after rejects, want 8 (cap held)", q)
 	}
-	if shed := r.Stats().SubmitShed; shed != 3 {
+	if shed := r.m.SubmitShed.Load(); shed != 3 {
 		t.Fatalf("SubmitShed = %d, want 3", shed)
 	}
 }
@@ -79,12 +79,12 @@ func TestAruWindowThrottles(t *testing.T) {
 	if !c.waitDelivered(perNode*len(c.nodes), 10*time.Second) {
 		t.Fatal("not all messages delivered under aru-window throttling")
 	}
-	c.stop() // Stats is safe only after the event loops quiesce
+	c.stop() // the counts are final once the event loops quiesce
 	c.checkAgreement()
 
 	var throttled uint64
 	for _, n := range c.nodes {
-		throttled += n.ring.Stats().Throttled
+		throttled += n.ring.m.Throttled.Load()
 	}
 	if throttled == 0 {
 		t.Fatal("Throttled = 0: the aru window never engaged under load")

@@ -9,6 +9,7 @@ import (
 
 	"immune/internal/ids"
 	"immune/internal/netsim"
+	"immune/internal/obs"
 	"immune/internal/sec"
 	"immune/internal/wire"
 )
@@ -58,11 +59,16 @@ type node struct {
 	ring     *Ring
 	ep       *netsim.Endpoint
 	rec      *recorder
+	reg      *obs.Registry // this node's own ring.* counters
 	mu       sync.Mutex
 	deliv    []*wire.Regular
 	stopFlag atomic.Bool
 	done     chan struct{}
 }
+
+// testMetrics gives a ring under test its own registry, so its counters
+// can be read back through r.m.
+func testMetrics() Metrics { return MetricsFrom(obs.NewRegistry(), "") }
 
 func (n *node) deliveredCount() int {
 	n.mu.Lock()
@@ -140,15 +146,17 @@ func newCluster(t *testing.T, nProcs int, level sec.Level, netCfg netsim.Config,
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd := &node{id: p, ep: ep, rec: &recorder{}, done: make(chan struct{})}
+		nd := &node{id: p, ep: ep, rec: &recorder{}, reg: obs.NewRegistry(), done: make(chan struct{})}
 		cfg := Config{
-			Self:         p,
-			Members:      members,
-			Ring:         1,
-			Suite:        suite,
-			Trans:        ep,
-			Obs:          nd.rec,
-			TokenTimeout: 2 * time.Millisecond,
+			Self:    p,
+			Members: members,
+			Ring:    1,
+			Suite:   suite,
+			Trans:   ep,
+			Obs:     nd.rec,
+			// No idle pacing: these clusters spin the token at full speed.
+			Knobs:   Knobs{IdleDelay: -1},
+			Metrics: MetricsFrom(nd.reg, ""),
 			Deliver: func(m *wire.Regular) {
 				nd.mu.Lock()
 				defer nd.mu.Unlock()

@@ -46,7 +46,7 @@ func TestDisabledMetricsZeroAllocsOnHotPath(t *testing.T) {
 func TestEnabledMetricsCountRingActivity(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newCluster(t, 3, sec.LevelSignatures, netsim.Config{},
-		func(cfg *Config) { cfg.Metrics = MetricsFrom(reg) })
+		func(cfg *Config) { cfg.Metrics = MetricsFrom(reg, "") })
 	c.start()
 	defer c.stop()
 

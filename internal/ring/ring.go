@@ -51,6 +51,12 @@ const DefaultMaxQueue = 4096
 // the retransmission buffer a saturating sender can accumulate.
 const DefaultMaxUnstable = 1024
 
+// DefaultTokenTimeout is the default token retransmission timeout.
+const DefaultTokenTimeout = 2 * time.Millisecond
+
+// DefaultIdleDelay is the default hold of an idle token (Knobs.IdleDelay).
+const DefaultIdleDelay = 500 * time.Microsecond
+
 // maxRtrList bounds the retransmission request list carried in the token.
 const maxRtrList = 64
 
@@ -123,18 +129,38 @@ func (nopObserver) MutantMessage(ids.ProcessorID, uint64) {}
 
 var _ Observer = nopObserver{}
 
-// Stats are cumulative counters for one ring configuration.
-type Stats struct {
-	Originated      uint64 // messages this processor originated
-	Delivered       uint64 // messages delivered in total order
-	Retransmissions uint64 // message retransmissions performed
-	TokenVisits     uint64 // tokens accepted (any holder)
-	TokenHeld       uint64 // tokens held by this processor
-	TokenResends    uint64 // token retransmissions after timeout
-	DigestRejects   uint64 // messages discarded for digest mismatch
-	TokenRejects    uint64 // tokens rejected (signature/form/stale)
-	SubmitShed      uint64 // submissions rejected by the bounded queue
-	Throttled       uint64 // token visits that withheld origination (aru window)
+// Knobs are the ring's tuning values: the part of Config a deployment may
+// set. The layers above (smp, the public immune.Config) carry this struct
+// whole instead of re-declaring its fields, and New is the one place the
+// defaults are applied.
+type Knobs struct {
+	// MaxPerVisit is j, the per-visit origination bound; 0 means
+	// DefaultMaxPerVisit.
+	MaxPerVisit int
+	// TokenTimeout is how long the last token sender waits for evidence
+	// of progress before retransmitting its token; 0 means
+	// DefaultTokenTimeout.
+	TokenTimeout time.Duration
+	// IdleDelay paces an idle ring: a holder that observes no sequence
+	// progress since its own previous visit, and that has nothing to
+	// originate or retransmit, holds the token this long before passing
+	// it, so an idle ring does not spin — an idle six-member ring then
+	// costs ~2000 signed token visits/s, which matters when many systems
+	// share a machine (tests). A busy ring (any member originating)
+	// passes the token at full speed, and a local Submit cuts the hold
+	// short. 0 means DefaultIdleDelay; negative disables pacing.
+	IdleDelay time.Duration
+	// MaxQueue bounds the submit queue: Submit returns ErrOverloaded
+	// once this many payloads await origination. 0 means
+	// DefaultMaxQueue; negative means unbounded (tests only).
+	MaxQueue int
+	// MaxUnstable bounds how far token-assigned sequence numbers may run
+	// ahead of the stable aru: a holder originates nothing while
+	// seq - stableAru would exceed it, which caps the retransmission
+	// buffer (msgs/digestBook) instead of letting a saturating sender
+	// grow it without limit. 0 means DefaultMaxUnstable; negative means
+	// unbounded (tests only).
+	MaxUnstable int
 }
 
 // Config parameterizes one ring participant.
@@ -148,30 +174,7 @@ type Config struct {
 	Deliver func(*wire.Regular)
 	// Obs receives fault-detector events; nil for none.
 	Obs Observer
-	// MaxPerVisit is j, the per-visit origination bound; 0 means
-	// DefaultMaxPerVisit.
-	MaxPerVisit int
-	// TokenTimeout is how long the last token sender waits for evidence
-	// of progress before retransmitting its token; 0 means 10ms.
-	TokenTimeout time.Duration
-	// IdleDelay paces an idle ring: a holder that observes no sequence
-	// progress since its own previous visit, and that has nothing to
-	// originate or retransmit, holds the token this long before passing
-	// it, so an idle ring does not spin. A busy ring (any member
-	// originating) passes the token at full speed, and a local Submit
-	// cuts the hold short. Zero disables pacing.
-	IdleDelay time.Duration
-	// MaxQueue bounds the submit queue: Submit returns ErrOverloaded
-	// once this many payloads await origination. 0 means
-	// DefaultMaxQueue; negative means unbounded (tests only).
-	MaxQueue int
-	// MaxUnstable bounds how far token-assigned sequence numbers may run
-	// ahead of the stable aru: a holder originates nothing while
-	// seq - stableAru would exceed it, which caps the retransmission
-	// buffer (msgs/digestBook) instead of letting a saturating sender
-	// grow it without limit. 0 means DefaultMaxUnstable; negative means
-	// unbounded (tests only).
-	MaxUnstable int
+	Knobs
 	// Now is the clock; nil means time.Now (injected in tests).
 	Now func() time.Time
 	// Metrics are optional observability hooks; the zero value disables
@@ -190,7 +193,6 @@ type Ring struct {
 
 	qmu     sync.Mutex
 	sendQ   [][]byte
-	shedQ   uint64        // submissions rejected by the bounded queue (qmu)
 	submitN chan struct{} // capacity 1: edge-trigger for Submit during an idle hold
 
 	// Protocol state: single event-goroutine access.
@@ -208,7 +210,6 @@ type Ring struct {
 	lastAccepted [sec.DigestSize]byte // digest of last accepted token (chain check)
 	aruWindow    []uint64             // arus of the last n+1 accepted tokens
 	lastHoldAt   time.Time            // this processor's previous token hold
-	stats        Stats
 	m            Metrics
 	stopped      bool
 }
@@ -249,7 +250,10 @@ func New(cfg Config) (*Ring, error) {
 		cfg.MaxUnstable = DefaultMaxUnstable
 	}
 	if cfg.TokenTimeout <= 0 {
-		cfg.TokenTimeout = 10 * time.Millisecond
+		cfg.TokenTimeout = DefaultTokenTimeout
+	}
+	if cfg.IdleDelay == 0 {
+		cfg.IdleDelay = DefaultIdleDelay
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -276,14 +280,8 @@ func New(cfg Config) (*Ring, error) {
 // Successor returns the next processor in ring order after this one.
 func (r *Ring) Successor() ids.ProcessorID { return r.successor }
 
-// Stats returns a snapshot of the counters. Call from the event goroutine.
-func (r *Ring) Stats() Stats {
-	s := r.stats
-	r.qmu.Lock()
-	s.SubmitShed = r.shedQ
-	r.qmu.Unlock()
-	return s
-}
+// Knobs returns the tuning values in effect, defaults applied.
+func (r *Ring) Knobs() Knobs { return r.cfg.Knobs }
 
 // Delivered returns the highest contiguously delivered sequence number.
 func (r *Ring) Delivered() uint64 { return r.delivered }
@@ -298,7 +296,6 @@ func (r *Ring) Stop() { r.stopped = true }
 func (r *Ring) Submit(contents []byte) error {
 	r.qmu.Lock()
 	if r.cfg.MaxQueue > 0 && len(r.sendQ) >= r.cfg.MaxQueue {
-		r.shedQ++
 		r.qmu.Unlock()
 		r.m.SubmitShed.Inc()
 		return fmt.Errorf("ring %s: %d queued: %w", r.cfg.Ring, r.cfg.MaxQueue, ErrOverloaded)
@@ -352,8 +349,7 @@ func (r *Ring) HandleToken(raw []byte) {
 	if err != nil {
 		// Undecodable token: corruption in transit or malformed from a
 		// faulty sender. Sender unknown, so no attribution.
-		r.stats.TokenRejects++
-		r.m.Rejects.Inc()
+		r.rejectToken()
 		return
 	}
 	if tok.Ring != r.cfg.Ring {
@@ -363,8 +359,7 @@ func (r *Ring) HandleToken(raw []byte) {
 		// Not attributable: an outsider naming itself (or anyone) in a
 		// token is just noise; suspecting non-members would let forgers
 		// block legitimate future joins.
-		r.stats.TokenRejects++
-		r.m.Rejects.Inc()
+		r.rejectToken()
 		return
 	}
 	if tok.Visit <= r.visit {
@@ -387,14 +382,12 @@ func (r *Ring) HandleToken(raw []byte) {
 	// verdict, so a token seen on both this path and the stale/mutant
 	// path above — or retransmitted — costs exactly one RSA operation.
 	if !r.verifyOnce(tok) {
-		r.stats.TokenRejects++
-		r.m.Rejects.Inc()
+		r.rejectToken()
 		return
 	}
 	if err := tok.WellFormed(); err != nil {
 		// The sender provably signed a malformed token: attributable.
-		r.stats.TokenRejects++
-		r.m.Rejects.Inc()
+		r.rejectToken()
 		r.obs.TokenInvalid(tok.Sender, "malformed token: "+err.Error())
 		return
 	}
@@ -405,14 +398,25 @@ func (r *Ring) HandleToken(raw []byte) {
 	// binds the claimed contents to the claimed sender.
 	if r.level >= sec.LevelSignatures {
 		if prevDigest, ok := r.tokensSeen[tok.Visit-1]; ok && tok.PrevTokenDigest != prevDigest {
-			r.stats.TokenRejects++
-			r.m.Rejects.Inc()
+			r.rejectToken()
 			r.obs.MutantToken(tok.Sender, tok.Visit)
 			return
 		}
 	}
 
 	r.acceptToken(tok, raw)
+}
+
+// rejectToken counts a discarded token; rejectMessage a message discarded
+// for digest mismatch. Both also feed the combined Rejects counter.
+func (r *Ring) rejectToken() {
+	r.m.TokenRejects.Inc()
+	r.m.Rejects.Inc()
+}
+
+func (r *Ring) rejectMessage() {
+	r.m.DigestRejects.Inc()
+	r.m.Rejects.Inc()
 }
 
 // verifyOnce checks a token signature through the bounded verify cache:
@@ -507,7 +511,7 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 		}
 		r.digestBook[e.Seq] = e.Digest
 	}
-	r.stats.TokenVisits++
+	r.m.TokenVisits.Inc()
 	r.obs.TokenActivity(tok.Sender, tok.Visit)
 	r.tryDeliver()
 	st := r.stableAru(tok.Aru)
@@ -524,7 +528,6 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 // holdToken performs one token visit: retransmit requested messages,
 // originate new ones, update seq/aru/rtr, and pass the token on.
 func (r *Ring) holdToken(prev *wire.Token) {
-	r.stats.TokenHeld++
 	if r.m.Rotation != nil {
 		// Token rotation time: the interval between this processor's
 		// consecutive holds, i.e. one full traversal of the ring (§8).
@@ -557,7 +560,6 @@ func (r *Ring) holdToken(prev *wire.Token) {
 	for _, s := range prev.RtrList {
 		if m, ok := r.msgs[s]; ok {
 			r.cfg.Trans.Multicast(m.Marshal())
-			r.stats.Retransmissions++
 			r.m.Retransmissions.Inc()
 			rtg = append(rtg, wire.RtgEntry{Seq: s, Retransmitter: r.cfg.Self})
 		} else {
@@ -584,7 +586,6 @@ func (r *Ring) holdToken(prev *wire.Token) {
 			allowed = int(uint64(r.cfg.MaxUnstable) - ahead)
 		}
 		if allowed == 0 && r.QueuedSubmissions() > 0 {
-			r.stats.Throttled++
 			r.m.Throttled.Inc()
 		}
 	}
@@ -602,7 +603,6 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		}
 		r.msgs[seq] = m // originator retains its own message for retransmission
 		r.cfg.Trans.Multicast(raw)
-		r.stats.Originated++
 		r.m.Originated.Inc()
 	}
 	r.seq = seq
@@ -756,8 +756,7 @@ func (r *Ring) HandleRegular(raw []byte) {
 	// retransmission of the genuine message.
 	if r.level >= sec.LevelDigests {
 		if d, ok := r.digestBook[m.Seq]; ok && d != sec.Digest(raw) {
-			r.stats.DigestRejects++
-			r.m.Rejects.Inc()
+			r.rejectMessage()
 			r.obs.MutantMessage(m.Sender, m.Seq)
 			return
 		}
@@ -784,14 +783,12 @@ func (r *Ring) tryDeliver() {
 				// Held copy turns out mutant now that the digest
 				// arrived: discard and await retransmission.
 				delete(r.msgs, m.Seq)
-				r.stats.DigestRejects++
-				r.m.Rejects.Inc()
+				r.rejectMessage()
 				r.obs.MutantMessage(m.Sender, m.Seq)
 				return
 			}
 		}
 		r.delivered++
-		r.stats.Delivered++
 		r.m.Delivered.Inc()
 		r.cfg.Deliver(m)
 	}
@@ -919,7 +916,6 @@ func (r *Ring) Tick() {
 		return
 	}
 	r.cfg.Trans.Multicast(r.lastSentRaw)
-	r.stats.TokenResends++
 	r.m.TokenResends.Inc()
 	r.lastSentAt = r.now()
 }

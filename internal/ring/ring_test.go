@@ -34,7 +34,7 @@ func TestTotalOrderFaultFree(t *testing.T) {
 		total := perNode * len(c.nodes)
 		if !c.waitDelivered(total, 5*time.Second) {
 			for _, n := range c.nodes {
-				t.Logf("node %s delivered %d, stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+				t.Logf("node %s delivered %d, stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 			}
 			t.Fatal("not all messages delivered")
 		}
@@ -58,7 +58,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 		total := perNode * len(c.nodes)
 		if !c.waitDelivered(total, 20*time.Second) {
 			for _, n := range c.nodes {
-				t.Logf("node %s delivered %d, stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+				t.Logf("node %s delivered %d, stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 			}
 			t.Fatal("reliable delivery violated under message loss")
 		}
@@ -103,7 +103,7 @@ func TestUniquenessUnderCorruption(t *testing.T) {
 			total := perNode * len(c.nodes)
 			if !c.waitDelivered(total, 20*time.Second) {
 				for _, n := range c.nodes {
-					t.Logf("node %s delivered %d stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+					t.Logf("node %s delivered %d stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 				}
 				t.Fatal("delivery stalled under corruption")
 			}
@@ -177,11 +177,11 @@ func TestForgedTokenRejected(t *testing.T) {
 			t.Fatalf("forged token was attributed to a correct processor (inv=%d mutant=%d)", inv, mt)
 		}
 	}
-	// Stats are event-goroutine state: stop the loops before reading.
+	// Stop the loops so the counts are final.
 	c.stop()
 	rejected := false
 	for _, n := range c.nodes {
-		if n.ring.Stats().TokenRejects > 0 {
+		if n.ring.m.TokenRejects.Load() > 0 {
 			rejected = true
 		}
 	}
@@ -219,7 +219,7 @@ func TestMutantMessageSuppressed(t *testing.T) {
 	}
 	if !c.waitDelivered(4, 10*time.Second) {
 		for _, n := range c.nodes {
-			t.Logf("node %s delivered %d stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+			t.Logf("node %s delivered %d stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 		}
 		t.Fatal("mutant injection stalled delivery")
 	}
@@ -309,6 +309,7 @@ func TestStaleRingIgnored(t *testing.T) {
 		Self: 1, Members: []ids.ProcessorID{1, 2}, Ring: 5,
 		Suite: suite, Trans: transportFunc(func(p []byte) { sent = append(sent, p) }),
 		Deliver: func(*wire.Regular) { t.Fatal("delivered message from stale ring") },
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +320,7 @@ func TestStaleRingIgnored(t *testing.T) {
 	if len(sent) != 0 {
 		t.Fatal("stale-ring token triggered activity")
 	}
-	if r.Stats().TokenVisits != 0 {
+	if r.m.TokenVisits.Load() != 0 {
 		t.Fatal("stale-ring token counted as visit")
 	}
 }
@@ -332,6 +333,7 @@ func TestNonMemberTrafficIgnored(t *testing.T) {
 		Suite: suite, Trans: transportFunc(func([]byte) {}),
 		Obs:     rec,
 		Deliver: func(*wire.Regular) { t.Fatal("delivered non-member message") },
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +343,8 @@ func TestNonMemberTrafficIgnored(t *testing.T) {
 	if inv, _, _ := rec.counts(); inv != 0 {
 		t.Fatalf("non-member traffic attributed (%d reports); it is not attributable", inv)
 	}
-	if r.Stats().TokenRejects != 1 {
-		t.Fatalf("TokenRejects = %d, want 1", r.Stats().TokenRejects)
+	if r.m.TokenRejects.Load() != 1 {
+		t.Fatalf("TokenRejects = %d, want 1", r.m.TokenRejects.Load())
 	}
 }
 
@@ -354,6 +356,7 @@ func TestMalformedTokenRejected(t *testing.T) {
 		Suite: suite, Trans: transportFunc(func([]byte) {}),
 		Obs:     rec,
 		Deliver: func(*wire.Regular) {},
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,8 +366,8 @@ func TestMalformedTokenRejected(t *testing.T) {
 	if inv, _, _ := rec.counts(); inv != 1 {
 		t.Fatalf("malformed token not reported (invalid=%d)", inv)
 	}
-	if r.Stats().TokenRejects != 1 {
-		t.Fatalf("TokenRejects = %d, want 1", r.Stats().TokenRejects)
+	if r.m.TokenRejects.Load() != 1 {
+		t.Fatalf("TokenRejects = %d, want 1", r.m.TokenRejects.Load())
 	}
 }
 
@@ -397,6 +400,7 @@ func TestDuplicateTokenIgnoredMutantReported(t *testing.T) {
 		Suite: suite, Trans: transportFunc(func([]byte) {}),
 		Obs:     rec,
 		Deliver: func(*wire.Regular) {},
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +408,8 @@ func TestDuplicateTokenIgnoredMutantReported(t *testing.T) {
 	// Token from 3 (whose successor is 1, not us): accepted, not held.
 	tok := &wire.Token{Sender: 3, Ring: 1, Visit: 5}
 	r.HandleToken(tok.Marshal())
-	if r.Stats().TokenVisits != 1 || r.Stats().TokenHeld != 0 {
-		t.Fatalf("stats = %+v", r.Stats())
+	if r.m.TokenVisits.Load() != 1 || r.m.TokensSigned.Load() != 0 {
+		t.Fatalf("visits = %d, holds = %d", r.m.TokenVisits.Load(), r.m.TokensSigned.Load())
 	}
 	// Exact duplicate: silently ignored.
 	r.HandleToken(tok.Marshal())
@@ -474,7 +478,7 @@ func TestBatchBound(t *testing.T) {
 	suite, _ := sec.NewSuite(sec.LevelNone, 1, nil, nil)
 	var regulars int
 	r, err := New(Config{
-		Self: 1, Members: []ids.ProcessorID{1}, Ring: 1, MaxPerVisit: 3,
+		Self: 1, Members: []ids.ProcessorID{1}, Ring: 1, Knobs: Knobs{MaxPerVisit: 3},
 		Suite: suite,
 		Trans: transportFunc(func(p []byte) {
 			if k, _ := wire.PeekKind(p); k == wire.KindRegular {

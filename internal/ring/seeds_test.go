@@ -35,7 +35,7 @@ func TestAgreementAcrossSeeds(t *testing.T) {
 			}
 			if !c.waitDelivered(perNode*4, 30*time.Second) {
 				for _, n := range c.nodes {
-					t.Logf("node %s delivered %d stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+					t.Logf("node %s delivered %d stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 				}
 				t.Fatal("delivery incomplete")
 			}
@@ -79,7 +79,7 @@ func TestAgreementSignedRandomSeeds(t *testing.T) {
 			}
 			if !c.waitDelivered(perNode*3, 60*time.Second) {
 				for _, n := range c.nodes {
-					t.Logf("node %s delivered %d stats %+v", n.id, n.deliveredCount(), n.ring.Stats())
+					t.Logf("node %s delivered %d stats\n%s", n.id, n.deliveredCount(), n.reg.Snapshot())
 				}
 				t.Fatal("delivery incomplete at LevelSignatures")
 			}

@@ -77,6 +77,7 @@ func newSignedFixture(t *testing.T, wrap func(*sec.Suite) CryptoSuite) *signedFi
 		Suite: wrap(selfSuite), Trans: transportFunc(func([]byte) {}),
 		Obs:     rec,
 		Deliver: func(*wire.Regular) {},
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +116,7 @@ func TestVerifyOncePerDistinctToken(t *testing.T) {
 		}
 		prev = sec.Digest(raw)
 	}
-	if got := f.ring.Stats().TokenVisits; got != k {
+	if got := f.ring.m.TokenVisits.Load(); got != k {
 		t.Fatalf("accepted %d token visits, want %d", got, k)
 	}
 	if got := cs.verifies.Load(); got != k {
@@ -135,7 +136,7 @@ func TestMutantDuplicateVerifiedOnce(t *testing.T) {
 
 	orig := f.signedToken(t, 1, 0, [sec.DigestSize]byte{})
 	f.ring.HandleToken(append([]byte(nil), orig...))
-	if f.ring.Stats().TokenVisits != 1 {
+	if f.ring.m.TokenVisits.Load() != 1 {
 		t.Fatal("original token not accepted")
 	}
 
@@ -172,13 +173,13 @@ func TestForgedTokenNeverAccepted(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		f.ring.HandleToken(append([]byte(nil), forged...))
 	}
-	if got := f.ring.Stats().TokenRejects; got != 5 {
+	if got := f.ring.m.TokenRejects.Load(); got != 5 {
 		t.Fatalf("forged token rejected %d times, want 5", got)
 	}
 	if got := cs.verifies.Load(); got != 1 {
 		t.Fatalf("%d verifications for 5 arrivals of one forgery, want 1 (cached negative)", got)
 	}
-	if f.ring.Stats().TokenVisits != 0 {
+	if f.ring.m.TokenVisits.Load() != 0 {
 		t.Fatal("forged token was accepted")
 	}
 
@@ -188,17 +189,17 @@ func TestForgedTokenNeverAccepted(t *testing.T) {
 	mutated := append([]byte(nil), good...)
 	mutated[1+4+4+8] ^= 0xff // first byte of Seq
 	f.ring.HandleToken(mutated)
-	if f.ring.Stats().TokenVisits != 0 {
+	if f.ring.m.TokenVisits.Load() != 0 {
 		t.Fatal("mutated token was accepted")
 	}
-	if got := f.ring.Stats().TokenRejects; got != 6 {
+	if got := f.ring.m.TokenRejects.Load(); got != 6 {
 		t.Fatalf("rejects = %d, want 6", got)
 	}
 
 	// The untampered token still goes through: negative verdicts for the
 	// forgeries must not poison the genuine triple.
 	f.ring.HandleToken(good)
-	if f.ring.Stats().TokenVisits != 1 {
+	if f.ring.m.TokenVisits.Load() != 1 {
 		t.Fatal("genuine token rejected after forgeries")
 	}
 }
@@ -221,7 +222,7 @@ func TestPreverifyWarmsCache(t *testing.T) {
 
 	f.ring.HandleToken(raw1)
 	f.ring.HandleToken(raw2)
-	if got := f.ring.Stats().TokenVisits; got != 2 {
+	if got := f.ring.m.TokenVisits.Load(); got != 2 {
 		t.Fatalf("accepted %d tokens after preverify, want 2", got)
 	}
 	if got := cs.verifies.Load(); got != 2 {

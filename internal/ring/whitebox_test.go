@@ -18,6 +18,7 @@ func newBareRing(t *testing.T, members []ids.ProcessorID, self ids.ProcessorID) 
 		Self: self, Members: members, Ring: 1,
 		Suite: suite, Trans: transportFunc(func([]byte) {}),
 		Deliver: func(*wire.Regular) {},
+		Metrics: testMetrics(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestSeqZeroIgnored(t *testing.T) {
 	r := newBareRing(t, []ids.ProcessorID{1, 2}, 1)
 	m := &wire.Regular{Sender: 2, Ring: 1, Seq: 0, Contents: []byte("x")}
 	r.HandleRegular(m.Marshal())
-	if len(r.msgs) != 0 || r.Stats().Delivered != 0 {
+	if len(r.msgs) != 0 || r.m.Delivered.Load() != 0 {
 		t.Fatal("seq-0 message accepted")
 	}
 }

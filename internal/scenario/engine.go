@@ -217,9 +217,8 @@ type Result struct {
 	// expanded to.
 	Events []Event `json:"events"`
 
-	Net        immune.NetStats `json:"net"`
-	Violations []string        `json:"violations"`
-	Elapsed    time.Duration   `json:"elapsed"`
+	Violations []string      `json:"violations"`
+	Elapsed    time.Duration `json:"elapsed"`
 }
 
 // Passed reports whether the run met its SLO.
@@ -555,7 +554,6 @@ func Run(s Scenario) (*Result, error) {
 		P999:           hv.Quantile(0.999),
 		Mean:           hv.Mean(),
 		Events:         s.Schedule.Events(),
-		Net:            sys.NetStats(),
 		Elapsed:        time.Since(began),
 	}
 	res.Abandoned = res.Sent - res.Delivered - res.Shed - res.Errors

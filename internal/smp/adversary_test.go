@@ -61,7 +61,7 @@ func TestForgedTokenStormSurvived(t *testing.T) {
 	<-done
 	if !ok {
 		for _, s := range c.stacks {
-			t.Logf("stack %s delivered %d stats %+v", s.id, s.deliveredCount(), s.stack.RingStats())
+			t.Logf("stack %s delivered %d stats\n%s", s.id, s.deliveredCount(), s.reg.Snapshot())
 		}
 		t.Fatal("forged token storm disrupted delivery")
 	}
@@ -173,7 +173,7 @@ func TestHighVolumeAgreement(t *testing.T) {
 	}
 	if !c.waitDelivered(perNode*3, 60*time.Second, 0, 1, 2) {
 		for _, s := range c.stacks {
-			t.Logf("stack %s delivered %d stats %+v", s.id, s.deliveredCount(), s.stack.RingStats())
+			t.Logf("stack %s delivered %d stats\n%s", s.id, s.deliveredCount(), s.reg.Snapshot())
 		}
 		t.Fatal("high-volume delivery incomplete")
 	}

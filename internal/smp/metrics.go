@@ -26,17 +26,11 @@ type Metrics struct {
 	Ring ring.Metrics
 }
 
-// MetricsFrom registers the stack metric family in reg. A nil registry
-// yields the disabled zero value.
-func MetricsFrom(reg *obs.Registry) Metrics {
-	return MetricsFromPrefix(reg, "")
-}
-
-// MetricsFromPrefix registers the stack metric family under
-// "<prefix>smp.*" (and "<prefix>ring.*" for the token hot path). Sharded
-// deployments give each ring's stack its own prefix; the empty prefix
-// keeps the legacy names.
-func MetricsFromPrefix(reg *obs.Registry, prefix string) Metrics {
+// MetricsFrom registers the stack metric family in reg under
+// "<prefix>smp.*" (and "<prefix>ring.*" for the token hot path). A nil
+// registry yields the disabled zero value. Sharded deployments give each
+// ring's stack its own prefix; a single ring uses the empty prefix.
+func MetricsFrom(reg *obs.Registry, prefix string) Metrics {
 	if reg == nil {
 		return Metrics{}
 	}
@@ -44,7 +38,7 @@ func MetricsFromPrefix(reg *obs.Registry, prefix string) Metrics {
 		Installs:   reg.Counter(prefix + "smp.installs"),
 		Suspicions: reg.Counter(prefix + "smp.suspicions"),
 		Members:    reg.Gauge(prefix + "smp.members"),
-		Ring:       ring.MetricsFromPrefix(reg, prefix),
+		Ring:       ring.MetricsFrom(reg, prefix),
 		SuspectReason: func(reason string) {
 			reg.Counter(prefix + "smp.suspect." + reason).Inc()
 		},

@@ -53,32 +53,11 @@ type Config struct {
 	// Optional.
 	OnMembershipChange func(membership.Install)
 
-	// MaxPerVisit is the token-visit origination bound j (§8); 0 means
-	// ring.DefaultMaxPerVisit.
-	MaxPerVisit int
-	// MaxSubmitQueue bounds the ring's submit queue: Submit returns an
-	// error wrapping ring.ErrOverloaded once this many payloads await
-	// origination. 0 means ring.DefaultMaxQueue; negative unbounded.
-	MaxSubmitQueue int
-	// MaxUnstable bounds how far origination may run ahead of the
-	// stable aru (the ring's retransmission-buffer flow control). 0
-	// means ring.DefaultMaxUnstable; negative unbounded.
-	MaxUnstable int
-	// IdleDelay paces an idle token rotation; 0 means 500µs. An idle
-	// six-member ring then costs ~2000 signed token visits/s instead of
-	// spinning, which matters when many systems share a machine (tests).
-	IdleDelay time.Duration
-	// TokenTimeout is the token retransmission timeout; 0 means 2ms.
-	TokenTimeout time.Duration
-	// SuspectTimeout is the fault detector's liveness timeout; 0 means
-	// 50ms.
-	SuspectTimeout time.Duration
-	// StrikeThreshold is how many weakly attributable offenses (invalid
-	// tokens, digest-mismatched messages) a processor may accumulate
-	// before the detector suspects it; 0 means the detector default (3).
-	// Deployments on lossy links raise it so wire corruption is not
-	// mistaken for processor misbehaviour.
-	StrikeThreshold int
+	// Ring and Detector are the tuning values of the two layers the stack
+	// builds, handed to them whole; each layer documents its own fields
+	// and applies its own defaults.
+	Ring     ring.Knobs
+	Detector detector.Knobs
 	// PollInterval is the event-loop sleep when idle; 0 means 100µs.
 	PollInterval time.Duration
 	// Metrics are optional observability hooks; the zero value disables
@@ -115,15 +94,6 @@ func New(cfg Config) (*Stack, error) {
 	if cfg.Suite == nil {
 		return nil, fmt.Errorf("smp %s: suite required", cfg.Self)
 	}
-	if cfg.IdleDelay == 0 {
-		cfg.IdleDelay = 500 * time.Microsecond
-	}
-	if cfg.TokenTimeout <= 0 {
-		cfg.TokenTimeout = 2 * time.Millisecond
-	}
-	if cfg.SuspectTimeout <= 0 {
-		cfg.SuspectTimeout = 50 * time.Millisecond
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Microsecond
 	}
@@ -135,9 +105,8 @@ func New(cfg Config) (*Stack, error) {
 		done: make(chan struct{}),
 	}
 	s.det = detector.New(detector.Config{
-		Self:            cfg.Self,
-		SuspectTimeout:  cfg.SuspectTimeout,
-		StrikeThreshold: cfg.StrikeThreshold,
+		Self:  cfg.Self,
+		Knobs: cfg.Detector,
 		OnSuspect: func(_ ids.ProcessorID, r detector.Reason) {
 			cfg.Metrics.Suspicions.Inc()
 			if cfg.Metrics.SuspectReason != nil {
@@ -183,18 +152,14 @@ func New(cfg Config) (*Stack, error) {
 // buildRing constructs the ring instance for an installed membership.
 func (s *Stack) buildRing(inst membership.Install, carryover [][]byte) (*ring.Ring, error) {
 	r, err := ring.New(ring.Config{
-		Self:         s.cfg.Self,
-		Members:      inst.Members,
-		Ring:         inst.Ring,
-		Suite:        s.cfg.Suite,
-		Trans:        s.cfg.Endpoint,
-		Obs:          s.det,
-		Metrics:      s.cfg.Metrics.Ring,
-		MaxPerVisit:  s.cfg.MaxPerVisit,
-		MaxQueue:     s.cfg.MaxSubmitQueue,
-		MaxUnstable:  s.cfg.MaxUnstable,
-		TokenTimeout: s.cfg.TokenTimeout,
-		IdleDelay:    s.cfg.IdleDelay,
+		Self:    s.cfg.Self,
+		Members: inst.Members,
+		Ring:    inst.Ring,
+		Suite:   s.cfg.Suite,
+		Trans:   s.cfg.Endpoint,
+		Obs:     s.det,
+		Knobs:   s.cfg.Ring,
+		Metrics: s.cfg.Metrics.Ring,
 		Deliver: func(m *wire.Regular) {
 			s.cfg.Deliver(Delivery{
 				Sender:  m.Sender,
@@ -300,14 +265,17 @@ func (s *Stack) ValueFaultSuspect(p ids.ProcessorID) {
 	s.det.ValueFaultSuspect(p)
 }
 
-// RingStats returns the current ring's counters (zero value if excluded).
-func (s *Stack) RingStats() ring.Stats {
+// Knobs reports the tuning values in effect, defaults applied, as read
+// back from the layer that consumes each: the current ring's (zero while
+// excluded), the detector's, and the event loop's poll interval.
+func (s *Stack) Knobs() (ring.Knobs, detector.Knobs, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cur == nil {
-		return ring.Stats{}
+	var rk ring.Knobs
+	if s.cur != nil {
+		rk = s.cur.Knobs()
 	}
-	return s.cur.Stats()
+	return rk, s.det.Knobs(), s.cfg.PollInterval
 }
 
 // Installs reports how many membership changes have been installed.

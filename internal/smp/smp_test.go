@@ -6,9 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"immune/internal/detector"
 	"immune/internal/ids"
 	"immune/internal/membership"
 	"immune/internal/netsim"
+	"immune/internal/obs"
+	"immune/internal/ring"
 	"immune/internal/sec"
 )
 
@@ -16,6 +19,7 @@ import (
 type stackUnderTest struct {
 	id    ids.ProcessorID
 	stack *Stack
+	reg   *obs.Registry // this stack's own smp.* / ring.* counters
 
 	mu       sync.Mutex
 	deliv    []Delivery
@@ -76,16 +80,16 @@ func newTestCluster(t *testing.T, n int, level sec.Level, netCfg netsim.Config) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sut := &stackUnderTest{id: p}
+		sut := &stackUnderTest{id: p, reg: obs.NewRegistry()}
 		st, err := New(Config{
-			Self:           p,
-			Members:        members,
-			Suite:          suite,
-			Endpoint:       ep,
-			IdleDelay:      100 * time.Microsecond,
-			TokenTimeout:   2 * time.Millisecond,
-			SuspectTimeout: 25 * time.Millisecond,
-			PollInterval:   50 * time.Microsecond,
+			Self:         p,
+			Members:      members,
+			Suite:        suite,
+			Endpoint:     ep,
+			Ring:         ring.Knobs{IdleDelay: 100 * time.Microsecond},
+			Detector:     detector.Knobs{SuspectTimeout: 25 * time.Millisecond},
+			PollInterval: 50 * time.Microsecond,
+			Metrics:      MetricsFrom(sut.reg, ""),
 			Deliver: func(d Delivery) {
 				sut.mu.Lock()
 				defer sut.mu.Unlock()
@@ -179,7 +183,7 @@ func TestStackTotalOrder(t *testing.T) {
 			}
 			if !c.waitDelivered(perNode*3, 10*time.Second, 0, 1, 2) {
 				for _, s := range c.stacks {
-					t.Logf("stack %s delivered %d stats %+v", s.id, s.deliveredCount(), s.stack.RingStats())
+					t.Logf("stack %s delivered %d stats\n%s", s.id, s.deliveredCount(), s.reg.Snapshot())
 				}
 				t.Fatal("deliveries incomplete")
 			}
@@ -336,8 +340,8 @@ func TestDeliveryUnderLossWithReconfiguration(t *testing.T) {
 	}
 	if !c.waitDelivered(perNode*4, 30*time.Second, 0, 1, 2, 3) {
 		for _, s := range c.stacks {
-			t.Logf("stack %s delivered %d stats %+v suspects %v",
-				s.id, s.deliveredCount(), s.stack.RingStats(), s.stack.Suspects())
+			t.Logf("stack %s delivered %d suspects %v stats\n%s",
+				s.id, s.deliveredCount(), s.stack.Suspects(), s.reg.Snapshot())
 		}
 		t.Fatal("lossy delivery incomplete")
 	}

@@ -1,6 +1,7 @@
 package immune_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,9 +12,11 @@ import (
 
 // TestMetricsConcurrentGroups drives concurrent two-way invocations across
 // three independent server groups from three independent client groups
-// (exercising the instrumentation under -race) and then asserts that the
-// system-wide snapshot reports the activity: non-zero ring, voting, and
-// replication counters, plus per-stage invocation latency histograms.
+// (exercising the instrumentation under -race) while a second goroutine
+// reads System.Snapshot in a tight loop — the supported way to watch a
+// running system — and then asserts that the system-wide snapshot reports
+// the activity: non-zero ring, voting, and replication counters, plus
+// per-stage invocation latency histograms.
 func TestMetricsConcurrentGroups(t *testing.T) {
 	sys, err := immune.New(immune.Config{Processors: 6, Seed: 21})
 	if err != nil {
@@ -62,6 +65,28 @@ func TestMetricsConcurrentGroups(t *testing.T) {
 		clients = append(clients, c)
 	}
 
+	// A reader polls the snapshot for as long as invocations flow. Every
+	// counter is monotone, so a read can never go backwards.
+	stopReader := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		var last uint64
+		for {
+			select {
+			case <-stopReader:
+				readerDone <- nil
+				return
+			default:
+			}
+			got := sys.Snapshot().Counter("ring.delivered")
+			if got < last {
+				readerDone <- fmt.Errorf("ring.delivered went backwards: %d after %d", got, last)
+				return
+			}
+			last = got
+		}
+	}()
+
 	// Every client invokes every service several times, all concurrently.
 	const rounds = 5
 	args := immune.NewEncoder()
@@ -84,6 +109,10 @@ func TestMetricsConcurrentGroups(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	close(stopReader)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)

@@ -110,15 +110,12 @@ func TestPublicAPISurvivesCrash(t *testing.T) {
 	if got := len(p1.GroupMembers(srvGroup)); got != 2 {
 		t.Fatalf("server group degree %d after crash", got)
 	}
-	// Stats surfaced through the public API are live.
-	if p1.RingStats().Delivered == 0 {
-		t.Fatal("ring stats empty")
-	}
-	if p1.ManagerStats().InvocationsDecided == 0 {
-		t.Fatal("manager stats empty")
-	}
-	if sys.NetStats().Delivered == 0 {
-		t.Fatal("net stats empty")
+	// Counters surfaced through the public API are live.
+	snap := sys.Snapshot()
+	for _, name := range []string{"ring.delivered", "rm.invocations_decided", "net.delivered"} {
+		if snap.Counter(name) == 0 {
+			t.Fatalf("%s is zero in the snapshot", name)
+		}
 	}
 }
 
@@ -162,7 +159,7 @@ func TestPublicAPIFaultPlan(t *testing.T) {
 	if v, _ := immune.NewDecoder(body).ReadLongLong(); v != 1 {
 		t.Fatalf("read %d", v)
 	}
-	if sys.NetStats().Dropped == 0 {
+	if sys.Snapshot().Counter("net.dropped") == 0 {
 		t.Fatal("fault plan never dropped a frame")
 	}
 }
