@@ -88,7 +88,7 @@ func releaseTransfer(t *testing.T, b *bus, marker uint64) {
 	msg := &group.Message{Kind: group.KindState, Dest: serverG, Target: serverG,
 		Op:      ids.OperationID{Seq: marker},
 		Sender:  ids.ReplicaID{Group: serverG, Processor: 1},
-		Payload: encodeStatePayload(e.Bytes(), nil, nil),
+		Payload: encodeStatePayload(e.Bytes(), &opStore{}),
 	}
 	if err := (&busStack{b: b, self: 1}).Submit(msg.Marshal()); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/iiop"
 	"immune/internal/obs"
@@ -101,7 +102,7 @@ func TestBehindInstallRebuildsServerReplicas(t *testing.T) {
 	st := m2.hosted[serverG]
 	var cached bool
 	if st != nil {
-		_, cached = st.replies[op]
+		_, cached = st.replies.get(op)
 	}
 	m2.mu.Unlock()
 	if !cached {
@@ -125,6 +126,68 @@ func TestBehindInstallRebuildsServerReplicas(t *testing.T) {
 	for i, m := range managers {
 		if vf := m.met.ValueFaults.Load(); vf != 0 {
 			t.Fatalf("manager %d observed %d value faults after rebuild", i+1, vf)
+		}
+	}
+}
+
+// TestRejoinOfPendingJoinsProvider: a rejoin's leave half runs the same
+// provider shrink as any departure. Here the rejoiner (P2, a bare
+// directory entry with no manager behind it, so it never contributes a
+// snapshot) is the only provider of P3's pending join: the rejoin must
+// orphan that wait — P3 activates as the group's first replica — and then
+// re-admit P2 behind a transfer that P3, now active, provides.
+func TestRejoinOfPendingJoinsProvider(t *testing.T) {
+	b := newBus()
+	var managers []*Manager
+	for _, p := range []ids.ProcessorID{1, 3} {
+		m, err := NewManager(Config{
+			Stack:      &busStack{b: b, self: p},
+			Processors: 3, CallTimeout: 5 * time.Second,
+			Metrics: MetricsFrom(obs.NewRegistry()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.attach(m)
+		managers = append(managers, m)
+	}
+	go b.run()
+	t.Cleanup(b.stop)
+
+	p2 := ids.ReplicaID{Group: serverG, Processor: 2}
+	remote := &busStack{b: b, self: 2}
+	announce := func(kind group.Kind) {
+		t.Helper()
+		msg := &group.Message{Kind: kind, Dest: ids.BaseGroup, Member: p2, Target: serverG, Payload: []byte{1}}
+		if err := remote.Submit(msg.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		b.settle(t)
+	}
+	announce(group.KindJoin)
+	h3, err := managers[1].HostReplica(serverG, "echo-server", &echoServant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.settle(t)
+	if h3.Active() {
+		t.Fatal("P3 activated without a snapshot from its only provider")
+	}
+
+	announce(group.KindRejoin)
+	if err := h3.WaitActive(5 * time.Second); err != nil {
+		t.Fatalf("joiner orphaned by its provider's rejoin never activated: %v", err)
+	}
+	for i, m := range managers {
+		if got := m.ActiveCount(serverG); got != 2 {
+			t.Fatalf("manager %d counts %d active server replicas, want 2", i, got)
+		}
+		m.mu.Lock()
+		pending, marker, hw := len(m.pending), m.joinSeq[serverG], m.degreeHW[serverG]
+		m.mu.Unlock()
+		if pending != 0 || marker != 3 || hw != 2 {
+			t.Fatalf("manager %d: %d pending transfers, join marker %d, degree high-water %d; want 0, 3, 2",
+				i, pending, marker, hw)
 		}
 	}
 }

@@ -44,14 +44,14 @@ func TestTimeoutClassification(t *testing.T) {
 
 	// Two of three processors excluded: the one live replica is below
 	// ⌈(3+1)/2⌉ = 2 of the group's high-water degree.
-	m.OnProcessorMembershipChange([]ids.ProcessorID{1})
+	m.OnMembershipInstall(0, []ids.ProcessorID{1}, false)
 	if err := m.timeoutError(op, serverG, time.Now()); !errors.Is(err, ErrGroupDegraded) {
 		t.Fatalf("degraded group: %v", err)
 	}
 
 	// The excluded manager classifies everything as lost quorum.
 	ex := f.managers[2]
-	ex.OnProcessorMembershipChange([]ids.ProcessorID{1, 2})
+	ex.OnMembershipInstall(0, []ids.ProcessorID{1, 2}, false)
 	if err := ex.timeoutError(op, serverG, time.Now()); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("excluded manager: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestExclusionFailsInFlightInvocation(t *testing.T) {
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	f.managers[0].OnProcessorMembershipChange([]ids.ProcessorID{2, 3})
+	f.managers[0].OnMembershipInstall(0, []ids.ProcessorID{2, 3}, false)
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrQuorumLost) {
@@ -110,7 +110,7 @@ func TestDirectorySyncAfterRejoin(t *testing.T) {
 	// P3 is excluded (install not broadcast: the survivors just drop it,
 	// P3 resets).
 	for _, m := range f.managers {
-		m.OnProcessorMembershipChange([]ids.ProcessorID{1, 2})
+		m.OnMembershipInstall(0, []ids.ProcessorID{1, 2}, false)
 	}
 	f.b.settle(t)
 	if f.managers[2].Synced() {

@@ -550,7 +550,7 @@ func TestProcessorExclusionRemovesReplicas(t *testing.T) {
 
 	// P3 is excluded from the processor membership.
 	for _, m := range f.managers {
-		m.OnProcessorMembershipChange([]ids.ProcessorID{1, 2})
+		m.OnMembershipInstall(0, []ids.ProcessorID{1, 2}, false)
 	}
 	for i, m := range f.managers[:2] {
 		if m.Directory().Size(serverG) != 2 || m.Directory().Size(clientG) != 2 {
@@ -634,15 +634,15 @@ func TestVFDThreshold(t *testing.T) {
 	culprit := ids.ReplicaID{Group: 10, Processor: 6}
 
 	// Threshold for n=6 is floor(5/3)+1 = 2 distinct reporters.
-	v.localObservation(1, culprit)
+	v.record(1, culprit)
 	if len(confirmed) != 0 {
 		t.Fatal("confirmed on one reporter")
 	}
-	v.localObservation(1, culprit) // same reporter repeating: no effect
+	v.record(1, culprit) // same reporter repeating: no effect
 	if len(confirmed) != 0 {
 		t.Fatal("confirmed on repeated single reporter")
 	}
-	v.localObservation(2, culprit)
+	v.record(2, culprit)
 	if len(confirmed) != 1 || confirmed[0] != culprit {
 		t.Fatalf("confirmed = %v", confirmed)
 	}
@@ -650,7 +650,7 @@ func TestVFDThreshold(t *testing.T) {
 		t.Fatal("isConfirmed false")
 	}
 	// Further reports are idempotent.
-	v.localObservation(4, culprit)
+	v.record(4, culprit)
 	if len(confirmed) != 1 {
 		t.Fatal("re-confirmed")
 	}
@@ -662,11 +662,11 @@ func TestVFDSelfTestimonyIgnored(t *testing.T) {
 	culprit := ids.ReplicaID{Group: 10, Processor: 2}
 	// n=3: threshold is 1 reporter — but the culprit's own processor
 	// cannot testify about itself.
-	v.localObservation(2, culprit)
+	v.record(2, culprit)
 	if len(confirmed) != 0 {
 		t.Fatal("self-testimony counted")
 	}
-	v.localObservation(1, culprit)
+	v.record(1, culprit)
 	if len(confirmed) != 1 {
 		t.Fatal("honest testimony ignored")
 	}

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -173,7 +174,7 @@ func TestStateTransferCarriesReplyCache(t *testing.T) {
 	st := m3.hosted[serverG]
 	var cached []byte
 	if st != nil {
-		cached = st.replies[op]
+		cached, _ = st.replies.get(op)
 	}
 	m3.mu.Unlock()
 	if cached == nil {
@@ -191,40 +192,122 @@ func TestStatePayloadRoundTrip(t *testing.T) {
 		{ClientGroup: 9, Seq: 1},
 		{ClientGroup: 9, Seq: 2},
 	}
-	replies := map[ids.OperationID][]byte{
-		ops[0]: []byte("alpha"),
-		ops[1]: {},
-	}
+	var replies opStore
+	replies.put(ops[0], []byte("alpha"))
+	replies.put(ops[1], []byte{})
 	snap := []byte{1, 2, 3, 4}
-	enc := encodeStatePayload(snap, replies, ops)
+	enc := encodeStatePayload(snap, &replies)
 
-	gotSnap, gotReplies, gotLog, err := decodeStatePayload(enc)
+	// The framing is what providers' digests are voted on and what a
+	// mixed-version group exchanges: these are the bytes the encoder
+	// produced before the reply cache became an opStore.
+	const golden = "0400000001020304" + "02000000" +
+		"09000000" + "0100000000000000" + "05000000" + "616c706861" +
+		"09000000" + "0200000000000000" + "00000000"
+	if got := hex.EncodeToString(enc); got != golden {
+		t.Fatalf("state payload framing moved:\n got %s\nwant %s", got, golden)
+	}
+
+	gotSnap, got, err := decodeStatePayload(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotSnap, snap) {
 		t.Fatalf("snapshot %v, want %v", gotSnap, snap)
 	}
+	var gotLog []ids.OperationID
+	got.each(func(op ids.OperationID, _ []byte) { gotLog = append(gotLog, op) })
 	if len(gotLog) != 2 || gotLog[0] != ops[0] || gotLog[1] != ops[1] {
 		t.Fatalf("reply log %v, want %v", gotLog, ops)
 	}
-	if !bytes.Equal(gotReplies[ops[0]], []byte("alpha")) || len(gotReplies[ops[1]]) != 0 {
-		t.Fatalf("replies %v", gotReplies)
+	alpha, _ := got.get(ops[0])
+	empty, ok := got.get(ops[1])
+	if !bytes.Equal(alpha, []byte("alpha")) || !ok || len(empty) != 0 {
+		t.Fatalf("replies %v", got.vals)
+	}
+	if again := encodeStatePayload(gotSnap, &got); !bytes.Equal(again, enc) {
+		t.Fatalf("re-encoding a decoded payload changed it: %x", again)
 	}
 
 	// Empty cache round-trips too.
-	enc = encodeStatePayload(snap, nil, nil)
-	gotSnap, gotReplies, gotLog, err = decodeStatePayload(enc)
-	if err != nil || !bytes.Equal(gotSnap, snap) || len(gotReplies) != 0 || len(gotLog) != 0 {
-		t.Fatalf("empty-cache round trip: %v %v %v %v", gotSnap, gotReplies, gotLog, err)
+	enc = encodeStatePayload(snap, &opStore{})
+	gotSnap, got, err = decodeStatePayload(enc)
+	if err != nil || !bytes.Equal(gotSnap, snap) || got.len() != 0 {
+		t.Fatalf("empty-cache round trip: %v %v %v", gotSnap, got.vals, err)
 	}
 
 	// Every truncation of a valid encoding must error, not panic or
 	// mis-parse.
-	full := encodeStatePayload(snap, replies, ops)
+	full := encodeStatePayload(snap, &replies)
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, _, err := decodeStatePayload(full[:cut]); err == nil {
+		if _, _, err := decodeStatePayload(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
+	}
+}
+
+// TestOpStoreForgetsOldestFirst: past its limit the store drops exactly
+// the oldest insertion per new one and still iterates oldest first, and a
+// taken entry's stale key evicts nothing when its turn comes.
+func TestOpStoreForgetsOldestFirst(t *testing.T) {
+	var s opStore
+	op := func(i int) ids.OperationID { return ids.OperationID{ClientGroup: 1, Seq: uint64(i)} }
+	for i := 1; i <= opStoreLimit; i++ {
+		if !s.put(op(i), []byte{byte(i)}) {
+			t.Fatalf("op %d reported as present", i)
+		}
+	}
+	if s.put(op(7), nil) {
+		t.Fatal("re-put of a held op reported as new")
+	}
+	if _, ok := s.take(op(2)); !ok {
+		t.Fatal("op 2 missing")
+	}
+	for i := opStoreLimit + 1; i <= opStoreLimit+3; i++ {
+		s.put(op(i), nil)
+	}
+	if s.len() != opStoreLimit {
+		t.Fatalf("store holds %d entries, want %d", s.len(), opStoreLimit)
+	}
+	want := 4 // 1 and 3 evicted, 2 taken
+	s.each(func(o ids.OperationID, _ []byte) {
+		if o != op(want) {
+			t.Fatalf("iteration reached %v, want %v", o, op(want))
+		}
+		want++
+	})
+	if want != opStoreLimit+4 {
+		t.Fatalf("iteration ended before op %d", want)
+	}
+}
+
+// TestRetryBelowDecidedWindowNotReexecuted: at-most-once execution must
+// outlive the voter's decided window. After more than a window of later
+// operations from the same client group, V_I has forgotten operation 1;
+// a retry of it must still be a duplicate, not a fresh vote that the
+// client's copy decides and the servant executes a second time.
+func TestRetryBelowDecidedWindowNotReexecuted(t *testing.T) {
+	b, m := retryRig(t)
+	remote := &busStack{b: b, self: 1}
+	for seq := uint64(1); seq <= 8192+11; seq++ {
+		if err := remote.Submit(invocationMsg(group.KindInvocation, seq).Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.settle(t)
+	m.mu.Lock()
+	servant := m.hosted[serverG].servant.(*echoServant)
+	m.mu.Unlock()
+	before := servant.executions()
+	if before != 8192+11 {
+		t.Fatalf("servant executed %d operations, want %d", before, 8192+11)
+	}
+
+	if err := remote.Submit(invocationMsg(group.KindInvocationRetry, 1).Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	b.settle(t)
+	if after := servant.executions(); after != before {
+		t.Fatalf("retry of long-decided operation 1 executed again (%d -> %d executions)", before, after)
 	}
 }

@@ -45,11 +45,6 @@ func (v *valueFaultDetector) setProcessors(n int) {
 	}
 }
 
-// localObservation records the local voter's own deviance verdict.
-func (v *valueFaultDetector) localObservation(self ids.ProcessorID, culprit ids.ReplicaID) {
-	v.record(self, culprit)
-}
-
 // remoteVote ingests a Value_Fault_Vote message from another RM.
 func (v *valueFaultDetector) remoteVote(msg *group.Message) {
 	for _, entry := range msg.Votes {
@@ -57,7 +52,8 @@ func (v *valueFaultDetector) remoteVote(msg *group.Message) {
 	}
 }
 
-// record tallies one (reporter, culprit) pair and confirms on quorum.
+// record tallies one (reporter, culprit) pair — the local voter's own
+// deviance verdict or an entry of a remote vote — and confirms on quorum.
 func (v *valueFaultDetector) record(reporter ids.ProcessorID, culprit ids.ReplicaID) {
 	if reporter == culprit.Processor {
 		return // a processor cannot testify about itself

@@ -201,6 +201,8 @@ type Ring struct {
 	stable       uint64 // highest stability threshold observed (stableAru)
 	lastHeldSeq  uint64 // ring seq as of this processor's previous token hold
 	delivered    uint64 // highest contiguous seq delivered
+	released     uint64 // msgs and digestBook hold nothing at or below this seq
+	seenFrom     uint64 // tokensSeen holds nothing below this visit
 	msgs         map[uint64]*wire.Regular
 	digestBook   map[uint64][sec.DigestSize]byte // seq -> digest from tokens
 	tokensSeen   map[uint64][sec.DigestSize]byte // visit -> token digest (mutant detect)
@@ -491,26 +493,17 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 // acceptToken records an accepted token and, if this processor is the
 // successor of the token's sender, takes the holder role.
 func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
+	prevVisit := r.visit
 	r.visit = tok.Visit
 	r.tokensSeen[tok.Visit] = sec.Digest(raw)
 	r.lastAccepted = sec.Digest(raw)
 	if tok.Seq > r.seq {
 		r.seq = tok.Seq
 	}
-	// Record digests first-write-wins. Tokens carry digests cumulatively
-	// (every digest known for seqs above the aru), so a processor that
-	// missed one token frame recovers the digests from later tokens. A
-	// later signed token contradicting a recorded digest is attributable
-	// evidence that its signer is faulty.
-	for _, e := range tok.DigestList {
-		if d, ok := r.digestBook[e.Seq]; ok {
-			if d != e.Digest {
-				r.obs.TokenInvalid(tok.Sender, "conflicting digest in token")
-			}
-			continue
-		}
-		r.digestBook[e.Seq] = e.Digest
-	}
+	// Tokens carry digests cumulatively (every digest known for seqs above
+	// the aru), so a processor that missed one token frame recovers the
+	// digests from later tokens.
+	r.adoptDigests(tok.DigestList, tok.Sender, "conflicting digest in token")
 	r.m.TokenVisits.Inc()
 	r.obs.TokenActivity(tok.Sender, tok.Visit)
 	r.tryDeliver()
@@ -518,7 +511,7 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 	if st > r.stable {
 		r.stable = st
 	}
-	r.gc(st)
+	r.gc(st, prevVisit)
 
 	if r.successorOf(tok.Sender) == r.cfg.Self {
 		r.holdToken(tok)
@@ -599,9 +592,16 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		if r.level >= sec.LevelDigests {
 			d := sec.Digest(raw)
 			digests = append(digests, wire.DigestEntry{Seq: seq, Digest: d})
-			r.digestBook[seq] = d
+			if seq > r.released {
+				r.digestBook[seq] = d
+			}
 		}
-		r.msgs[seq] = m // originator retains its own message for retransmission
+		if seq > r.released {
+			// The originator retains its own message for retransmission. A
+			// seq at or below the release mark can only come from a faulty
+			// predecessor's rewound token; gc will not pass it again.
+			r.msgs[seq] = m
+		}
 		r.cfg.Trans.Multicast(raw)
 		r.m.Originated.Inc()
 	}
@@ -819,27 +819,33 @@ func (r *Ring) stableAru(aru uint64) uint64 {
 	return min
 }
 
+// tokenWindow is how many visits back tokens are remembered for mutant
+// detection.
+const tokenWindow = 2048
+
 // gc releases messages every processor is known to have received (all
-// sequence numbers at or below the stability threshold from stableAru).
-func (r *Ring) gc(aru uint64) {
-	for s := range r.msgs {
-		if s <= aru && s <= r.delivered {
-			delete(r.msgs, s)
-		}
+// sequence numbers at or below the stability threshold from stableAru) and
+// slides the mutant-detection window. All three books are keyed by a
+// monotone counter, so each keeps a mark and deletes as the mark advances;
+// adoptDigests and holdToken refuse to write behind the release mark.
+// prevVisit is the visit held before the token just accepted: nothing is
+// recorded above it but that token, so a (signed, faulty) jump in visit
+// numbers costs one window, never the size of the jump.
+func (r *Ring) gc(aru, prevVisit uint64) {
+	if aru > r.delivered {
+		aru = r.delivered
 	}
-	for s := range r.digestBook {
-		if s <= aru && s <= r.delivered {
-			delete(r.digestBook, s)
-		}
+	for r.released < aru {
+		r.released++
+		delete(r.msgs, r.released)
+		delete(r.digestBook, r.released)
 	}
-	// Bound the mutant-detection window.
-	if len(r.tokensSeen) > 4096 {
-		cut := r.visit - 2048
-		for v := range r.tokensSeen {
-			if v < cut {
-				delete(r.tokensSeen, v)
-			}
+	if r.visit > tokenWindow {
+		cut := r.visit - tokenWindow
+		for v := r.seenFrom; v < cut && v <= prevVisit; v++ {
+			delete(r.tokensSeen, v)
 		}
+		r.seenFrom = cut
 	}
 }
 
@@ -872,23 +878,34 @@ func (r *Ring) RecoveryMessages(from uint64) [][]byte {
 	return out
 }
 
-// AdoptFlushDigests installs digest vouchers received in a Flush message,
-// first-write-wins, and attempts delivery. A conflicting voucher is
-// attributable evidence against the flush sender.
+// AdoptFlushDigests installs digest vouchers received in a Flush message
+// and attempts delivery.
 func (r *Ring) AdoptFlushDigests(entries []wire.DigestEntry, from ids.ProcessorID) {
 	if r.stopped {
 		return
 	}
+	r.adoptDigests(entries, from, "conflicting digest in flush")
+	r.tryDeliver()
+}
+
+// adoptDigests records digest vouchers first-write-wins. A later signed
+// voucher contradicting a recorded digest is attributable evidence that
+// its signer is faulty. Vouchers for released sequence numbers are
+// refused: their messages are delivered and gone, and gc, which only
+// moves forward, would never pass them again.
+func (r *Ring) adoptDigests(entries []wire.DigestEntry, from ids.ProcessorID, conflict string) {
 	for _, e := range entries {
+		if e.Seq <= r.released {
+			continue
+		}
 		if d, ok := r.digestBook[e.Seq]; ok {
 			if d != e.Digest {
-				r.obs.TokenInvalid(from, "conflicting digest in flush")
+				r.obs.TokenInvalid(from, conflict)
 			}
 			continue
 		}
 		r.digestBook[e.Seq] = e.Digest
 	}
-	r.tryDeliver()
 }
 
 // DrainQueue removes and returns all pending submissions; the membership

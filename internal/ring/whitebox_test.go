@@ -159,3 +159,146 @@ func TestDrainQueue(t *testing.T) {
 		t.Fatal("queue not emptied")
 	}
 }
+
+// steppedRing is a ring of bare participants stepped synchronously: every
+// multicast is queued and handed to the other members one frame at a time.
+// tamper, when set, may rewrite a token frame on its way out of the queue.
+type steppedRing struct {
+	rings  []*Ring
+	queue  []steppedFrame
+	tamper func(tok *wire.Token) *wire.Token
+}
+
+type steppedFrame struct {
+	from    int
+	payload []byte
+}
+
+func newSteppedRing(t *testing.T, members int) *steppedRing {
+	t.Helper()
+	s := &steppedRing{}
+	all := make([]ids.ProcessorID, members)
+	for i := range all {
+		all[i] = ids.ProcessorID(i + 1)
+	}
+	for i, p := range all {
+		i := i
+		suite, err := sec.NewSuite(sec.LevelDigests, p, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := New(Config{
+			Self: p, Members: all, Ring: 1, Suite: suite,
+			Knobs:   Knobs{IdleDelay: -1},
+			Trans:   transportFunc(func(b []byte) { s.queue = append(s.queue, steppedFrame{i, b}) }),
+			Deliver: func(*wire.Regular) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.rings = append(s.rings, r)
+	}
+	return s
+}
+
+// visit dispatches queued frames up to and including the next token.
+func (s *steppedRing) visit(t *testing.T) {
+	t.Helper()
+	for {
+		if len(s.queue) == 0 {
+			t.Fatal("the token was lost")
+		}
+		f := s.queue[0]
+		s.queue = s.queue[1:]
+		kind, err := wire.PeekKind(f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == wire.KindToken && s.tamper != nil {
+			tok, err := wire.UnmarshalToken(f.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.payload = s.tamper(tok).Marshal()
+		}
+		for i, r := range s.rings {
+			if i == f.from {
+				continue
+			}
+			if kind == wire.KindToken {
+				r.HandleToken(append([]byte(nil), f.payload...))
+			} else {
+				r.HandleRegular(append([]byte(nil), f.payload...))
+			}
+		}
+		if kind == wire.KindToken {
+			return
+		}
+	}
+}
+
+// TestBooksStayBoundedOverManyVisits: msgs, digestBook and tokensSeen are
+// trimmed by marks that only move forward, so nothing may be written
+// behind a mark — not by a token or a flush vouching for sequence numbers
+// already released — and a faulty jump in visit numbers must cost no more
+// than one window.
+func TestBooksStayBoundedOverManyVisits(t *testing.T) {
+	s := newSteppedRing(t, 3)
+	stale := func() []wire.DigestEntry {
+		var out []wire.DigestEntry
+		for seq := uint64(1); seq <= 40; seq++ {
+			out = append(out, wire.DigestEntry{Seq: seq, Digest: sec.Digest([]byte{byte(seq)})})
+		}
+		return out
+	}
+	visits := 0
+	s.tamper = func(tok *wire.Token) *wire.Token {
+		cp := &wire.Token{
+			Sender: tok.Sender, Ring: tok.Ring, Visit: tok.Visit, Seq: tok.Seq,
+			Aru: tok.Aru, AruSetter: tok.AruSetter, RtrList: tok.RtrList,
+			DigestList: tok.DigestList, PrevTokenDigest: tok.PrevTokenDigest,
+			RtgList: tok.RtgList, Signature: tok.Signature,
+		}
+		switch {
+		case visits > 1000 && visits%500 == 0:
+			cp.DigestList = append(stale(), cp.DigestList...)
+		case visits == 3001:
+			cp.Visit += 1 << 40
+		}
+		return cp
+	}
+	s.rings[0].Kickstart()
+	for visits = 0; visits < 6000; visits++ {
+		for _, r := range s.rings {
+			if r.QueuedSubmissions() == 0 {
+				r.Submit([]byte{byte(visits), byte(visits >> 8)})
+			}
+		}
+		if visits > 1000 && visits%700 == 0 {
+			s.rings[1].AdoptFlushDigests(stale(), 3)
+		}
+		s.visit(t)
+	}
+	for i, r := range s.rings {
+		if r.visit < 1<<40 {
+			t.Fatalf("ring %d never took the jumped visit (visit %d)", i, r.visit)
+		}
+		if r.released < 5000 {
+			t.Fatalf("ring %d released only %d sequence numbers", i, r.released)
+		}
+		for seq := range r.digestBook {
+			if seq <= r.released {
+				t.Fatalf("ring %d keeps a digest for released seq %d", i, seq)
+			}
+		}
+		for seq := range r.msgs {
+			if seq <= r.released {
+				t.Fatalf("ring %d keeps released message %d", i, seq)
+			}
+		}
+		if n := len(r.msgs) + len(r.digestBook) + len(r.tokensSeen); n > tokenWindow+256 {
+			t.Fatalf("ring %d holds %d entries (%d msgs, %d digests, %d tokens)",
+				i, n, len(r.msgs), len(r.digestBook), len(r.tokensSeen))
+		}
+	}
+}

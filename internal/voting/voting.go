@@ -13,20 +13,12 @@
 package voting
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"immune/internal/ids"
 	"immune/internal/sec"
 )
-
-// Copy is one received copy of an invocation or response.
-type Copy struct {
-	Sender  ids.ReplicaID
-	Payload []byte
-	Digest  [sec.DigestSize]byte
-}
 
 // Outcome reports the voter's decision state after offering a copy.
 type Outcome struct {
@@ -67,9 +59,8 @@ type tally struct {
 type entry struct {
 	copies  []copyRec
 	tallies []tally
-	decided bool
-	winner  [sec.DigestSize]byte
-	firstAt time.Time // first copy's arrival (set only when metrics are on)
+	dest    ids.ObjectGroupID // group the first copy was addressed to (OfferTo)
+	firstAt time.Time         // first copy's arrival (set only when metrics are on)
 
 	copiesBuf  [4]copyRec
 	talliesBuf [2]tally
@@ -104,8 +95,10 @@ func (e *entry) tallyOf(d [sec.DigestSize]byte) *tally {
 	return nil
 }
 
-// Voter runs majority voting for operations addressed to one target group
-// (one V_I or V_R instance, Figure 2). Not safe for concurrent use; the
+// Voter runs majority voting on invocations (V_I) or on responses (V_R),
+// Figure 2. A Replication Manager shares one of each across every object
+// group it hosts: operation identifiers are unique system-wide, and OfferTo
+// keeps each vote's target group with it. Not safe for concurrent use; the
 // Replication Manager drives it from its delivery goroutine.
 type Voter struct {
 	// degree returns the current replication degree of the sender group
@@ -113,33 +106,35 @@ type Voter struct {
 	// membership information.
 	degree func(sender ids.ObjectGroupID) int
 
-	ops      map[ids.OperationID]*entry
-	decided  map[ids.OperationID][sec.DigestSize]byte // op -> winning digest
-	loOp     map[ids.ObjectGroupID]uint64             // GC watermark per client group
-	capacity int
+	ops     map[ids.OperationID]*entry
+	decided map[ids.OperationID][sec.DigestSize]byte // op -> winning digest
+	// hiOp is the highest decided sequence number per client group. The
+	// decided set keeps the decidedWindow sequence numbers below it;
+	// everything under that low-water mark (loOf) is forgotten and any
+	// copy of it is a duplicate.
+	hiOp map[ids.ObjectGroupID]uint64
 
-	m   Metrics
-	now func() time.Time
+	m Metrics
 }
+
+// decidedWindow is how far below a client group's highest decided sequence
+// number the voter still remembers decisions. Operation sequence numbers
+// are monotone per client group, so older copies can only be stragglers.
+const decidedWindow = 8192
 
 // NewVoter creates a voter. degree must return the sender group's current
 // replication degree (0 if unknown — voting waits until it is known).
 func NewVoter(degree func(ids.ObjectGroupID) int) *Voter {
 	return &Voter{
-		degree:   degree,
-		ops:      make(map[ids.OperationID]*entry),
-		decided:  make(map[ids.OperationID][sec.DigestSize]byte),
-		loOp:     make(map[ids.ObjectGroupID]uint64),
-		capacity: 4096,
-		now:      time.Now,
+		degree:  degree,
+		ops:     make(map[ids.OperationID]*entry),
+		decided: make(map[ids.OperationID][sec.DigestSize]byte),
+		hiOp:    make(map[ids.ObjectGroupID]uint64),
 	}
 }
 
 // SetMetrics installs observability hooks. The zero value disables them.
 func (v *Voter) SetMetrics(m Metrics) { v.m = m }
-
-// SetClock overrides the voter's time source (tests only).
-func (v *Voter) SetClock(now func() time.Time) { v.now = now }
 
 // Pending returns the number of undecided operations being voted on.
 func (v *Voter) Pending() int { return len(v.ops) }
@@ -155,37 +150,41 @@ func (v *Voter) Offer(op ids.OperationID, sender ids.ReplicaID, payload []byte) 
 // for voting and for fault attribution, instead of redigesting per
 // consumer. d must be sec.Digest(payload).
 func (v *Voter) OfferDigest(op ids.OperationID, sender ids.ReplicaID, payload []byte, d [sec.DigestSize]byte) Outcome {
+	return v.OfferTo(0, op, sender, payload, d)
+}
+
+// OfferTo is OfferDigest for a voter shared across target groups: dest, the
+// group the copy is addressed to, is recorded with the vote when its first
+// copy arrives and handed back in DecidedOp.Dest if a later Recheck decides
+// it, so the caller keeps no operation-keyed record of its own.
+func (v *Voter) OfferTo(dest ids.ObjectGroupID, op ids.OperationID, sender ids.ReplicaID, payload []byte, d [sec.DigestSize]byte) Outcome {
 	if winner, done := v.decided[op]; done {
 		// Post-decision copy: discarded per §6.1, but a copy deviating
 		// from the decided value is still attributable evidence of a
 		// value fault (§6.2).
-		v.m.Duplicates.Inc()
-		if d != winner {
-			v.m.ValueFaults.Inc()
-			dev := sender
-			return Outcome{Duplicate: true, Deviant: &dev}
-		}
-		return Outcome{Duplicate: true}
+		return v.duplicate(sender, d != winner)
+	}
+	if op.Seq < loOf(v.hiOp[op.ClientGroup]) {
+		// Below the decided window: the operation was decided and then
+		// forgotten. Opening a fresh vote would deliver it a second time
+		// (at-most-once execution), so a straggler this old is only ever a
+		// duplicate; its value can no longer be checked.
+		return v.duplicate(sender, false)
 	}
 	e := v.ops[op]
 	if e == nil {
 		e = newEntry()
+		e.dest = dest
 		if v.m.MajorityLatency != nil {
-			e.firstAt = v.now()
+			e.firstAt = time.Now()
 		}
 		v.ops[op] = e
 	}
 	if prev, ok := e.copyOf(sender); ok {
-		v.m.Duplicates.Inc()
-		if prev == d {
-			return Outcome{Duplicate: true}
-		}
-		// The same replica sent two different values for one operation:
-		// unambiguously faulty (mutant invocation/response). Do not let
+		// The same replica sending two different values for one operation
+		// is unambiguously faulty (mutant invocation/response). Do not let
 		// the second value influence the vote.
-		v.m.ValueFaults.Inc()
-		dev := sender
-		return Outcome{Duplicate: true, Deviant: &dev}
+		return v.duplicate(sender, prev != d)
 	}
 	e.copies = append(e.copies, copyRec{sender: sender, digest: d})
 	v.m.VotesCast.Inc()
@@ -199,55 +198,51 @@ func (v *Voter) OfferDigest(op ids.OperationID, sender ids.ReplicaID, payload []
 	}
 	t.count++
 
-	r := v.degree(op.ClientGroup)
-	if sender.Group != op.ClientGroup {
-		// Response voting: the sender group is the server group, not the
-		// operation's client group.
-		r = v.degree(sender.Group)
-	}
-	if r <= 0 {
+	// The threshold follows the sender group: the client group for
+	// invocation copies, the server group for response copies.
+	if r := v.degree(sender.Group); r <= 0 || t.count < r/2+1 {
 		return Outcome{}
 	}
-	need := r/2 + 1
-	if t.count < need {
-		return Outcome{}
-	}
-
-	// Majority reached: decide this value.
-	e.decided = true
-	e.winner = d
-	v.decided[op] = d
-	v.m.Decided.Inc()
-	if v.m.MajorityLatency != nil && !e.firstAt.IsZero() {
-		v.m.MajorityLatency.Observe(v.now().Sub(e.firstAt))
-	}
-	out := Outcome{Decided: true, Payload: t.payload}
-	for i := range e.copies {
-		if e.copies[i].digest != d {
-			out.Deviants = append(out.Deviants, e.copies[i].sender)
-		}
-	}
-	sort.Slice(out.Deviants, func(i, j int) bool {
-		if out.Deviants[i].Group != out.Deviants[j].Group {
-			return out.Deviants[i].Group < out.Deviants[j].Group
-		}
-		return out.Deviants[i].Processor < out.Deviants[j].Processor
-	})
-	v.m.ValueFaults.Add(uint64(len(out.Deviants)))
-	delete(v.ops, op)
-	v.gc(op)
-	return out
+	dec := v.decide(op, e, t)
+	return Outcome{Decided: true, Payload: dec.Payload, Deviants: dec.Deviants}
 }
 
-// OfferLate checks a copy arriving after the decision against the decided
-// value. The Replication Manager calls Offer unconditionally; this variant
-// exists for explicitly auditing stragglers in tests.
-func (v *Voter) OfferLate(op ids.OperationID, sender ids.ReplicaID, payload []byte, decided [sec.DigestSize]byte) Outcome {
-	if sec.Digest(payload) != decided {
-		dev := sender
-		return Outcome{Duplicate: true, Deviant: &dev}
+// duplicate reports a suppressed copy; one that deviates from the value
+// it repeats names its sender as a value fault.
+func (v *Voter) duplicate(sender ids.ReplicaID, deviates bool) Outcome {
+	v.m.Duplicates.Inc()
+	if !deviates {
+		return Outcome{Duplicate: true}
 	}
-	return Outcome{Duplicate: true}
+	v.m.ValueFaults.Inc()
+	return Outcome{Duplicate: true, Deviant: &sender}
+}
+
+// decide closes the vote on op with t as its majority value: the winner
+// is remembered for duplicate suppression, every copy that differs is a
+// deviant (sorted, so all managers report them alike), and the pending
+// entry is released.
+func (v *Voter) decide(op ids.OperationID, e *entry, t *tally) DecidedOp {
+	v.remember(op, t.digest)
+	v.m.Decided.Inc()
+	if v.m.MajorityLatency != nil && !e.firstAt.IsZero() {
+		v.m.MajorityLatency.Observe(time.Since(e.firstAt))
+	}
+	dec := DecidedOp{Op: op, Dest: e.dest, Payload: t.payload}
+	for i := range e.copies {
+		if e.copies[i].digest != t.digest {
+			dec.Deviants = append(dec.Deviants, e.copies[i].sender)
+		}
+	}
+	sort.Slice(dec.Deviants, func(i, j int) bool {
+		if dec.Deviants[i].Group != dec.Deviants[j].Group {
+			return dec.Deviants[i].Group < dec.Deviants[j].Group
+		}
+		return dec.Deviants[i].Processor < dec.Deviants[j].Processor
+	})
+	v.m.ValueFaults.Add(uint64(len(dec.Deviants)))
+	delete(v.ops, op)
+	return dec
 }
 
 // Recheck re-evaluates all pending operations after a membership change
@@ -267,33 +262,16 @@ func (v *Voter) Recheck() []DecidedOp {
 	})
 	var out []DecidedOp
 	for _, op := range pend {
-		e := v.ops[op]
-		var senderGroup ids.ObjectGroupID
-		if len(e.copies) > 0 {
-			senderGroup = e.copies[0].sender.Group
-		}
-		r := v.degree(senderGroup)
+		e := v.ops[op] // never without a copy: DropSender deletes those
+		r := v.degree(e.copies[0].sender.Group)
 		if r <= 0 {
 			continue
 		}
-		need := r/2 + 1
 		for i := range e.tallies {
-			t := &e.tallies[i]
-			if t.count < need {
-				continue
+			if t := &e.tallies[i]; t.count >= r/2+1 {
+				out = append(out, v.decide(op, e, t))
+				break
 			}
-			e.decided = true
-			e.winner = t.digest
-			v.decided[op] = t.digest
-			dec := DecidedOp{Op: op, Payload: t.payload}
-			for j := range e.copies {
-				if e.copies[j].digest != t.digest {
-					dec.Deviants = append(dec.Deviants, e.copies[j].sender)
-				}
-			}
-			delete(v.ops, op)
-			out = append(out, dec)
-			break
 		}
 	}
 	return out
@@ -302,6 +280,7 @@ func (v *Voter) Recheck() []DecidedOp {
 // DecidedOp is a deferred decision produced by Recheck.
 type DecidedOp struct {
 	Op       ids.OperationID
+	Dest     ids.ObjectGroupID // as given to OfferTo with the first copy
 	Payload  []byte
 	Deviants []ids.ReplicaID
 }
@@ -310,27 +289,14 @@ type DecidedOp struct {
 // excluded and its replicas are removed from all groups, §3.1).
 func (v *Voter) DropSender(r ids.ReplicaID) {
 	for op, e := range v.ops {
-		idx := -1
 		for i := range e.copies {
 			if e.copies[i].sender == r {
-				idx = i
+				// Every copy has its tally; one left at zero votes can
+				// never reach a majority and revives if the value returns.
+				e.tallyOf(e.copies[i].digest).count--
+				e.copies = append(e.copies[:i], e.copies[i+1:]...)
 				break
 			}
-		}
-		if idx < 0 {
-			continue
-		}
-		d := e.copies[idx].digest
-		e.copies = append(e.copies[:idx], e.copies[idx+1:]...)
-		for i := range e.tallies {
-			if e.tallies[i].digest != d {
-				continue
-			}
-			e.tallies[i].count--
-			if e.tallies[i].count == 0 {
-				e.tallies = append(e.tallies[:i], e.tallies[i+1:]...)
-			}
-			break
 		}
 		if len(e.copies) == 0 {
 			delete(v.ops, op)
@@ -338,28 +304,31 @@ func (v *Voter) DropSender(r ids.ReplicaID) {
 	}
 }
 
-// gc bounds the decided-set memory: operation sequence numbers are
-// monotone per client group, so everything far below the latest decided
-// seq can be forgotten.
-func (v *Voter) gc(latest ids.OperationID) {
-	const window = 8192
-	if latest.Seq < window {
-		return
+// loOf returns the low-water mark of a client group whose highest decided
+// sequence number is hi: decisions below it have been forgotten.
+func loOf(hi uint64) uint64 {
+	if hi < decidedWindow {
+		return 0
 	}
-	lo := v.loOp[latest.ClientGroup]
-	cut := latest.Seq - window
-	if cut <= lo {
-		return
-	}
-	for op := range v.decided {
-		if op.ClientGroup == latest.ClientGroup && op.Seq < cut {
-			delete(v.decided, op)
-		}
-	}
-	v.loOp[latest.ClientGroup] = cut
+	return hi - decidedWindow
 }
 
-// String summarizes the voter for diagnostics.
-func (v *Voter) String() string {
-	return fmt.Sprintf("voter{pending=%d decided=%d}", len(v.ops), len(v.decided))
+// remember records op's winning digest and slides its client group's
+// window: as the highest decided sequence number advances, the entries the
+// low-water mark passes are deleted one by one. Nothing is recorded above
+// the old high mark, so the walk stops there and a jump in sequence
+// numbers costs at most one window, never the size of the jump.
+func (v *Voter) remember(op ids.OperationID, winner [sec.DigestSize]byte) {
+	hi := v.hiOp[op.ClientGroup]
+	if op.Seq < loOf(hi) {
+		return // decided late, already under the mark that answers for it
+	}
+	v.decided[op] = winner
+	if op.Seq <= hi {
+		return
+	}
+	v.hiOp[op.ClientGroup] = op.Seq
+	for lo, cut := loOf(hi), loOf(op.Seq); lo < cut && lo <= hi; lo++ {
+		delete(v.decided, ids.OperationID{ClientGroup: op.ClientGroup, Seq: lo})
+	}
 }

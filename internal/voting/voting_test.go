@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"immune/internal/ids"
+	"immune/internal/sec"
 )
 
 // fixedDegree returns a degree function backed by a map.
@@ -235,5 +236,79 @@ func TestDecidedPayloadIsCopied(t *testing.T) {
 	buf[0] = 'X'
 	if !bytes.Equal(out.Payload, []byte("mutable")) {
 		t.Fatal("decided payload aliases caller buffer")
+	}
+}
+
+// decideRange decides operations from..to of clientGroup with two equal
+// copies each.
+func decideRange(t *testing.T, v *Voter, from, to uint64) {
+	t.Helper()
+	for seq := from; seq <= to; seq++ {
+		op := ids.OperationID{ClientGroup: clientGroup, Seq: seq}
+		v.Offer(op, c1, []byte("x"))
+		if out := v.Offer(op, c2, []byte("x")); !out.Decided {
+			t.Fatalf("op %d undecided after a majority", seq)
+		}
+	}
+}
+
+// TestBelowWindowCopyIsDuplicate: once a client group's decided window has
+// moved past an operation, late copies of it must stay duplicates — a
+// fresh vote would deliver (and execute) the operation a second time.
+func TestBelowWindowCopyIsDuplicate(t *testing.T) {
+	v := NewVoter(fixedDegree(map[ids.ObjectGroupID]int{clientGroup: 3}))
+	decideRange(t, v, 1, decidedWindow+10)
+	for _, sender := range []ids.ReplicaID{c1, c2, c3} {
+		if out := v.Offer(opA, sender, []byte("x")); out.Decided || !out.Duplicate {
+			t.Fatalf("late copy of forgotten op 1 from %s: %+v", sender, out)
+		}
+	}
+	if v.Pending() != 0 {
+		t.Fatalf("late copies opened %d fresh votes", v.Pending())
+	}
+	// Another client group's window is its own.
+	other := ids.OperationID{ClientGroup: serverGroup, Seq: 1}
+	v = NewVoter(fixedDegree(map[ids.ObjectGroupID]int{clientGroup: 3, serverGroup: 1}))
+	decideRange(t, v, 1, decidedWindow+10)
+	if out := v.Offer(other, s1, []byte("y")); !out.Decided {
+		t.Fatalf("fresh client group caught by another group's window: %+v", out)
+	}
+}
+
+// TestDecidedWindowSlides: the decided set holds one window per client
+// group however many operations pass, and a jump in sequence numbers is
+// absorbed without walking the gap.
+func TestDecidedWindowSlides(t *testing.T) {
+	v := NewVoter(fixedDegree(map[ids.ObjectGroupID]int{clientGroup: 3}))
+	decideRange(t, v, 1, 3*decidedWindow)
+	if n := len(v.decided); n != decidedWindow+1 {
+		t.Fatalf("decided set holds %d entries, want %d", n, decidedWindow+1)
+	}
+	far := uint64(1) << 62
+	decideRange(t, v, far, far)
+	if n := len(v.decided); n != 1 {
+		t.Fatalf("decided set holds %d entries after a jump, want 1", n)
+	}
+	// An old vote decided late (a Recheck after a degree drop) sits under
+	// the mark already and must not be recorded for ever.
+	decideRange(t, v, far+1, far+decidedWindow)
+	stale := ids.OperationID{ClientGroup: clientGroup, Seq: far - 1}
+	v.remember(stale, sec.Digest(nil))
+	if _, kept := v.decided[stale]; kept {
+		t.Fatal("a decision below the low-water mark was recorded")
+	}
+}
+
+// TestRecheckHandsBackDest: the target group offered with a vote's first
+// copy comes back when Recheck decides it.
+func TestRecheckHandsBackDest(t *testing.T) {
+	deg := map[ids.ObjectGroupID]int{clientGroup: 3}
+	v := NewVoter(fixedDegree(deg))
+	p := []byte("inv")
+	v.OfferTo(serverGroup, opA, c1, p, sec.Digest(p))
+	deg[clientGroup] = 1
+	decs := v.Recheck()
+	if len(decs) != 1 || decs[0].Dest != serverGroup || decs[0].Op != opA {
+		t.Fatalf("recheck decisions %+v", decs)
 	}
 }
