@@ -29,7 +29,7 @@ func newMailbox() *mailbox {
 
 // put enqueues a frame and reports whether it was accepted. Frames put
 // after close are discarded (returning false), which absorbs late
-// timer-driven deliveries during shutdown.
+// scheduler deliveries during shutdown.
 func (m *mailbox) put(f Frame) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -3,8 +3,8 @@ package netsim
 import "immune/internal/obs"
 
 // Metrics are the network's optional observability hooks: cumulative
-// counters of network-level events. The zero value is fully disabled (nil
-// obs handles are no-ops).
+// counters of network-level events and one histogram. The zero value is
+// fully disabled (nil obs handles are no-ops).
 type Metrics struct {
 	Sent       *obs.Counter // frames submitted by endpoints
 	Delivered  *obs.Counter // frame copies placed in receiver mailboxes
@@ -12,6 +12,10 @@ type Metrics struct {
 	Corrupted  *obs.Counter // frame copies corrupted in transit
 	Duplicated *obs.Counter // extra copies injected
 	BytesSent  *obs.Counter // payload bytes submitted
+	// Late is how long after its due time (send + latency + plan delay +
+	// jitter) the scheduler deposited each delayed copy: the simulator's
+	// own error on the configured link latency.
+	Late *obs.Histogram
 }
 
 // MetricsFrom registers the network metric family in reg under
@@ -29,5 +33,6 @@ func MetricsFrom(reg *obs.Registry, prefix string) Metrics {
 		Corrupted:  reg.Counter(prefix + "net.corrupted"),
 		Duplicated: reg.Counter(prefix + "net.duplicated"),
 		BytesSent:  reg.Counter(prefix + "net.bytes_sent"),
+		Late:       reg.Histogram(prefix + "net.late"),
 	}
 }

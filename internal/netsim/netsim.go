@@ -108,7 +108,12 @@ type Network struct {
 	detached  map[ids.ProcessorID]bool
 	rng       *splitmix
 	closed    bool
-	timers    sync.WaitGroup
+	// The delivery scheduler (sched.go): delayed copies in due order,
+	// the send counter that breaks due-time ties, and whether the
+	// goroutine that drains the heap is alive.
+	flight     flightHeap
+	sendSeq    uint64
+	scheduling bool
 }
 
 // New creates a network with the given configuration.
@@ -167,8 +172,8 @@ func (n *Network) Detached(p ids.ProcessorID) bool {
 	return n.detached[p]
 }
 
-// Close shuts the network down: all mailboxes are closed and in-flight
-// delayed deliveries are awaited.
+// Close shuts the network down: all mailboxes are closed and every copy
+// still in flight is lost, however long its delay had left to run.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -176,6 +181,8 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
+	n.cfg.Metrics.Dropped.Add(uint64(len(n.flight)))
+	n.flight = nil
 	eps := make([]*Endpoint, 0, len(n.endpoints))
 	for _, ep := range n.endpoints {
 		eps = append(eps, ep)
@@ -185,7 +192,6 @@ func (n *Network) Close() {
 	for _, ep := range eps {
 		ep.box.close()
 	}
-	n.timers.Wait()
 }
 
 // send routes one frame from an endpoint into the network.
@@ -268,18 +274,14 @@ func (n *Network) deliverOne(f Frame, ep *Endpoint) {
 			n.deposit(frame, ep)
 			continue
 		}
-		n.timers.Add(1)
-		time.AfterFunc(delay, func() {
-			defer n.timers.Done()
-			n.deposit(frame, ep)
-		})
+		n.schedule(frame, ep, time.Now().Add(delay))
 	}
 }
 
 // deposit places one frame copy in the receiver's mailbox, re-checking
 // the network state at delivery time: a frame delayed in flight must not
 // land (nor count as delivered) after the receiver detached or the
-// network shut down — the timer outlives both.
+// network shut down.
 func (n *Network) deposit(f Frame, ep *Endpoint) {
 	n.mu.Lock()
 	gone := n.closed || n.detached[ep.id]

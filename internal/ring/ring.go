@@ -606,6 +606,7 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		r.m.Originated.Inc()
 	}
 	r.seq = seq
+	assignedLastHold := r.lastHeldSeq
 	r.lastHeldSeq = seq
 	r.tryDeliver()
 
@@ -620,7 +621,7 @@ func (r *Ring) holdToken(prev *wire.Token) {
 	}
 
 	// 3. Merge our own missing sequence numbers into the request list.
-	rtr := r.mergeMissing(stillMissing)
+	rtr := r.mergeMissing(stillMissing, assignedLastHold)
 
 	// 4. Update the aru: lower it to our all-received-up-to if we are
 	// behind; if we set it previously, raise it to our current level.
@@ -689,13 +690,18 @@ func (r *Ring) takeBatch(max int) [][]byte {
 }
 
 // mergeMissing builds the outgoing rtr list: sequence numbers nobody
-// retransmitted this visit plus our own gaps, sorted, capped.
-func (r *Ring) mergeMissing(carry []uint64) []uint64 {
+// retransmitted this visit plus our own gaps, sorted, capped. A gap is
+// requested only up to upTo, the ring seq at our previous hold: §7.1's
+// retransmission is for lost messages, and a message assigned since then
+// may merely be late — a token travels on its own and, over a real
+// transport, overtakes the regulars multicast just before it. One rotation
+// later it is either here or lost.
+func (r *Ring) mergeMissing(carry []uint64, upTo uint64) []uint64 {
 	want := make(map[uint64]bool, len(carry))
 	for _, s := range carry {
 		want[s] = true
 	}
-	for s := r.delivered + 1; s <= r.seq && len(want) < maxRtrList; s++ {
+	for s := r.delivered + 1; s <= upTo && len(want) < maxRtrList; s++ {
 		if _, ok := r.msgs[s]; !ok {
 			want[s] = true
 		}

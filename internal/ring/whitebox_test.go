@@ -78,7 +78,7 @@ func TestSortU64(t *testing.T) {
 func TestMergeMissingCapped(t *testing.T) {
 	r := newBareRing(t, []ids.ProcessorID{1, 2}, 1)
 	r.seq = 10000 // nothing received: everything "missing"
-	got := r.mergeMissing(nil)
+	got := r.mergeMissing(nil, r.seq)
 	if len(got) > maxRtrList {
 		t.Fatalf("rtr list %d exceeds cap %d", len(got), maxRtrList)
 	}
@@ -299,6 +299,72 @@ func TestBooksStayBoundedOverManyVisits(t *testing.T) {
 		if n := len(r.msgs) + len(r.digestBook) + len(r.tokensSeen); n > tokenWindow+256 {
 			t.Fatalf("ring %d holds %d entries (%d msgs, %d digests, %d tokens)",
 				i, n, len(r.msgs), len(r.digestBook), len(r.tokensSeen))
+		}
+	}
+}
+
+// heldToken decodes the token at the tail of the queue: the one the last
+// holder just passed on.
+func (s *steppedRing) heldToken(t *testing.T) *wire.Token {
+	t.Helper()
+	tok, err := wire.UnmarshalToken(s.queue[len(s.queue)-1].payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tok
+}
+
+// TestGapGetsOneRotationOfGrace: over a real transport a token overtakes
+// the regulars multicast just before it. The next holder must not request
+// them on that visit (they are late, not lost); a message still missing
+// at the holder's next visit is requested then, and recovered.
+func TestGapGetsOneRotationOfGrace(t *testing.T) {
+	s := newSteppedRing(t, 3)
+	s.rings[0].Kickstart()
+	for i := 0; i < 6; i++ {
+		s.visit(t)
+	}
+	// The token in the queue is ring 0's; ring 1 holds next and originates.
+	originate := func() {
+		t.Helper()
+		if err := s.rings[1].Submit([]byte("m")); err != nil {
+			t.Fatal(err)
+		}
+		s.visit(t)
+		if len(s.queue) != 2 {
+			t.Fatalf("holder emitted %d frames, want its regular and the token", len(s.queue))
+		}
+	}
+
+	// Late: the token reaches ring 2 before the regular does.
+	originate()
+	s.queue[0], s.queue[1] = s.queue[1], s.queue[0]
+	s.visit(t)
+	if rtr := s.heldToken(t).RtrList; len(rtr) != 0 {
+		t.Fatalf("ring 2 requested %v on the visit the token overtook the regular", rtr)
+	}
+	for i := 0; i < 4; i++ { // rings 0, 1, 2, 0 hold; ring 1 is next again
+		s.visit(t) // the regular arrives first thing
+		if rtr := s.heldToken(t).RtrList; len(rtr) != 0 {
+			t.Fatalf("visit %d after the late regular arrived requests %v", i, rtr)
+		}
+	}
+
+	// Lost: the regular reaches nobody.
+	originate()
+	s.queue = s.queue[1:]
+	for i, want := range []int{0, 0, 0, 1} { // rings 2, 0, 1 hold, then ring 2 again
+		s.visit(t)
+		if rtr := s.heldToken(t).RtrList; len(rtr) != want {
+			t.Fatalf("hold %d after the loss requests %v, want %d entries", i, rtr, want)
+		}
+	}
+	for i := 0; i < 9; i++ {
+		s.visit(t)
+	}
+	for i, r := range s.rings {
+		if r.Delivered() != 2 {
+			t.Fatalf("ring %d delivered %d of 2 messages: the lost one was not recovered", i, r.Delivered())
 		}
 	}
 }
