@@ -174,8 +174,7 @@ func BenchmarkFigure7Case1TCP(b *testing.B) {
 // ordered multicast, no digests or signatures.
 func BenchmarkFigure7Case2(b *testing.B) {
 	bs := newBenchSystem(b, immune.Config{
-		Level:        immune.LevelNone,
-		PollInterval: 20 * time.Microsecond,
+		Level: immune.LevelNone,
 	}, 3)
 	bs.runPacketDriver(b, immune.PacketPayload(16))
 }
@@ -183,8 +182,7 @@ func BenchmarkFigure7Case2(b *testing.B) {
 // BenchmarkFigure7Case3: + majority voting + message digests.
 func BenchmarkFigure7Case3(b *testing.B) {
 	bs := newBenchSystem(b, immune.Config{
-		Level:        immune.LevelDigests,
-		PollInterval: 20 * time.Microsecond,
+		Level: immune.LevelDigests,
 	}, 3)
 	bs.runPacketDriver(b, immune.PacketPayload(16))
 }
@@ -192,8 +190,7 @@ func BenchmarkFigure7Case3(b *testing.B) {
 // BenchmarkFigure7Case4: + digitally signed tokens (full Immune).
 func BenchmarkFigure7Case4(b *testing.B) {
 	bs := newBenchSystem(b, immune.Config{
-		Level:        immune.LevelSignatures,
-		PollInterval: 20 * time.Microsecond,
+		Level: immune.LevelSignatures,
 	}, 3)
 	bs.runPacketDriver(b, immune.PacketPayload(16))
 }
@@ -218,7 +215,6 @@ func BenchmarkFigure7Calibrated(b *testing.B) {
 			bs := newBenchSystem(b, immune.Config{
 				Level:            c.level,
 				CryptoWorkFactor: 100,
-				PollInterval:     20 * time.Microsecond,
 			}, 3)
 			bs.runPacketDriver(b, immune.PacketPayload(16))
 		})

@@ -177,7 +177,6 @@ func runImmune(level immune.Level, workFactor int, duration, interval time.Durat
 		Level:            level,
 		Seed:             11,
 		CryptoWorkFactor: workFactor,
-		PollInterval:     20 * time.Microsecond,
 	})
 	if err != nil {
 		return 0, err

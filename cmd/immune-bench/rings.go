@@ -142,8 +142,7 @@ func measureRings(rings int, netLatency, window time.Duration, body []byte) (Rin
 		NetLatency: netLatency,
 		// One message per token visit: per-ring capacity is set by the
 		// rotation time, which is what sharding multiplies.
-		TokenBatch:   1,
-		PollInterval: 50 * time.Microsecond,
+		TokenBatch: 1,
 		// Rotation takes ~6 hops of simulated latency; keep the liveness
 		// timeout far above it so a saturated ring is never read as dead.
 		SuspectTimeout: 2 * time.Second,

@@ -31,7 +31,6 @@ func runSaturate(duration time.Duration, payloadSize, memCeilingMB int) error {
 		MaxSubmitQueue: maxQueue,
 		MaxInFlight:    maxInFlight,
 		MaxBacklog:     maxBacklog,
-		PollInterval:   20 * time.Microsecond,
 	})
 	if err != nil {
 		return err

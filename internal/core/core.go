@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,9 +102,6 @@ type Config struct {
 	// Deployments on lossy links raise it so sustained wire corruption —
 	// a link property — is not mistaken for processor misbehaviour.
 	StrikeThreshold int
-	// PollInterval is each processor's event-loop idle sleep; zero means
-	// 100µs. Lower values trade CPU for latency in benchmarks.
-	PollInterval time.Duration
 	// CryptoWorkFactor repeats every signature generation/verification
 	// to emulate the paper's 167 MHz testbed, where a 300-bit RSA
 	// signature cost milliseconds; ~100 restores the 1999 ratio of
@@ -212,7 +210,8 @@ type System struct {
 	rec     *recovery.Manager
 	reg     *obs.Registry // nil when DisableMetrics
 	tracer  *obs.Tracer   // nil when DisableMetrics
-	actCh   chan struct{} // edge-trigger: replica activity (WaitGroupActive)
+	actCh   chan struct{} // closed and replaced by notifyActivity, waking every await
+	actMu   sync.Mutex    // guards actCh
 	keyRing *sec.KeyRing
 	keys    map[ids.ProcessorID]*sec.KeyPair
 
@@ -319,7 +318,7 @@ func NewSystem(cfg Config) (*System, error) {
 		drained:  make(map[ids.ProcessorID]bool),
 		reg:      reg,
 		tracer:   tracer,
-		actCh:    make(chan struct{}, 1),
+		actCh:    make(chan struct{}),
 	}
 	if rings > 1 {
 		s.mirrorsSent = reg.Counter("core.mirrors_sent")
@@ -368,7 +367,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.members = members
 
-	local := members
+	local := slices.Clone(members) // order and members change independently
 	if len(cfg.LocalProcessors) > 0 {
 		if cfg.Transport == nil {
 			return nil, fmt.Errorf("core: LocalProcessors requires a Transport (simulated endpoints cannot span processes)")
@@ -510,13 +509,13 @@ func (s *System) buildProcessor(p ids.ProcessorID, joining bool, reuse []transpo
 				SuspectTimeout:  cfg.SuspectTimeout,
 				StrikeThreshold: cfg.StrikeThreshold,
 			},
-			PollInterval: cfg.PollInterval,
-			Metrics:      smp.MetricsFrom(s.reg, metricPrefix(r, rings)),
+			Metrics: smp.MetricsFrom(s.reg, metricPrefix(r, rings)),
 			Deliver: func(d smp.Delivery) {
 				proc.mgrs[r].HandleDelivery(d.Payload)
 			},
 			OnMembershipChange: func(inst membership.Install) {
 				proc.mgrs[r].OnMembershipInstall(uint64(inst.ID), inst.Members, inst.Behind)
+				s.notifyActivity() // the stack's view changed (admission, excision)
 				s.rec.Kick()
 				if cfg.OnMembershipChange != nil {
 					cfg.OnMembershipChange(p, inst)
@@ -967,49 +966,51 @@ func (s *System) HostGroup(g ids.ObjectGroupID, objectKey string, degree int,
 // recovery event history.
 func (s *System) Health() recovery.Health { return s.rec.Health() }
 
-// notifyActivity is every Replication Manager's OnChange hook: a
-// non-blocking send onto the edge-trigger channel WaitGroupActive parks
-// on. Called with a manager lock held, so it must never block.
+// notifyActivity wakes every await by closing the activity channel. It is
+// every Replication Manager's OnChange hook (replica activation or
+// departure, directory resync, membership install; called with a manager
+// lock held, so it never blocks) and runs after each stack's membership
+// install and each topology change.
 func (s *System) notifyActivity() {
-	select {
-	case s.actCh <- struct{}{}:
-	default:
+	s.actMu.Lock()
+	close(s.actCh)
+	s.actCh = make(chan struct{})
+	s.actMu.Unlock()
+}
+
+// await blocks until cond holds, re-checking it at every notifyActivity,
+// and reports false if the deadline passes first. cond must read only
+// state whose changes call notifyActivity.
+func (s *System) await(deadline time.Time, cond func() bool) bool {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for {
+		s.actMu.Lock()
+		ch := s.actCh // before cond: a change after the check still wakes us
+		s.actMu.Unlock()
+		if cond() {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			return cond()
+		}
 	}
 }
 
 // WaitGroupActive blocks until the group has at least want active
 // replicas (in its home ring's authoritative directory) or the timeout
-// expires. It parks on the managers' activity signal rather than polling;
-// a fallback re-check (100ms) guards against a signal consumed by a
-// concurrent waiter.
+// expires.
 func (s *System) WaitGroupActive(g ids.ObjectGroupID, want int, timeout time.Duration) error {
 	homeRing := s.RingOf(g)
-	deadline := time.Now().Add(timeout)
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
+	if !s.await(time.Now().Add(timeout), func() bool {
+		ref := s.reference(homeRing)
+		return ref != nil && ref.mgrs[homeRing].ActiveCount(g) >= want
+	}) {
+		return fmt.Errorf("core: group %s below %d active replicas after %v", g, want, timeout)
 	}
-	for {
-		if ref := s.reference(homeRing); ref != nil && ref.mgrs[homeRing].ActiveCount(g) >= want {
-			return nil
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return fmt.Errorf("core: group %s below %d active replicas after %v", g, want, timeout)
-		}
-		if wait > 100*time.Millisecond {
-			wait = 100 * time.Millisecond
-		}
-		timer.Reset(wait)
-		select {
-		case <-s.actCh:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-timer.C:
-		}
-	}
+	return nil
 }
 
 // ID returns the processor's identifier.

@@ -19,7 +19,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 	}
 	defer sys.Stop()
 	p := sys.procs[1]
-	rk, dk, poll := p.stacks[0].Knobs()
+	rk, dk := p.stacks[0].Knobs()
 	mc := p.mgrs[0].Config()
 
 	for _, c := range []struct {
@@ -33,7 +33,6 @@ func TestZeroConfigDefaults(t *testing.T) {
 		{"ring", "MaxUnstable", rk.MaxUnstable, 1024},
 		{"detector", "SuspectTimeout", dk.SuspectTimeout, 50 * time.Millisecond},
 		{"detector", "StrikeThreshold", dk.StrikeThreshold, 3},
-		{"smp", "PollInterval", poll, 100 * time.Microsecond},
 		{"replication", "CallTimeout", mc.CallTimeout, 10 * time.Second},
 		{"replication", "MaxInFlight", mc.MaxInFlight, 4096},
 		{"replication", "MaxBacklog", mc.MaxBacklog, 1024},

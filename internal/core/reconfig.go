@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"immune/internal/group"
@@ -25,10 +26,6 @@ import (
 	"immune/internal/sec"
 	"immune/internal/transport"
 )
-
-// reconfigPoll is the wait-loop granularity for reconfiguration
-// convergence checks (membership installs, directory updates).
-const reconfigPoll = 2 * time.Millisecond
 
 // DefaultReconfigTimeout bounds a reconfiguration operation whose caller
 // passes no explicit budget.
@@ -45,36 +42,10 @@ func (s *System) requireStarted() error {
 
 // insertID adds id to a sorted processor list (no-op if present).
 func insertID(list []ids.ProcessorID, id ids.ProcessorID) []ids.ProcessorID {
-	i := 0
-	for i < len(list) && list[i] < id {
-		i++
-	}
-	if i < len(list) && list[i] == id {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = id
-	return list
-}
-
-// removeID removes id from a processor list (no-op if absent).
-func removeID(list []ids.ProcessorID, id ids.ProcessorID) []ids.ProcessorID {
-	for i, p := range list {
-		if p == id {
-			return append(list[:i], list[i+1:]...)
-		}
+	if i, found := slices.BinarySearch(list, id); !found {
+		list = slices.Insert(list, i, id)
 	}
 	return list
-}
-
-func containsID(list []ids.ProcessorID, id ids.ProcessorID) bool {
-	for _, p := range list {
-		if p == id {
-			return true
-		}
-	}
-	return false
 }
 
 // AddProcessor adds a processor to the running system: it derives the
@@ -135,17 +106,15 @@ func (s *System) AddProcessor(id ids.ProcessorID, timeout time.Duration) error {
 	delete(s.draining, id)
 	delete(s.drained, id)
 	s.topoMu.Unlock()
+	s.notifyActivity() // the topology changed: reference() may pick anew
 
 	for _, st := range proc.stacks {
 		st.Start()
 	}
 
-	for !s.admitted(proc) {
-		if time.Now().After(deadline) {
-			s.retireProcessor(id, proc)
-			return fmt.Errorf("core: processor %s not admitted within %v", id, timeout)
-		}
-		time.Sleep(reconfigPoll)
+	if !s.await(deadline, func() bool { return s.admitted(proc) }) {
+		s.retireProcessor(id, proc)
+		return fmt.Errorf("core: processor %s not admitted within %v", id, timeout)
 	}
 	s.joinsDone.Inc()
 	s.joinLatency.Observe(time.Since(start))
@@ -159,7 +128,7 @@ func (s *System) AddProcessor(id ids.ProcessorID, timeout time.Duration) error {
 func (s *System) admitted(proc *Processor) bool {
 	for r := 0; r < s.rings; r++ {
 		inst := proc.stacks[r].View()
-		if inst.ID == 0 || !containsID(inst.Members, proc.id) {
+		if inst.ID == 0 || !slices.Contains(inst.Members, proc.id) {
 			return false
 		}
 		if !proc.mgrs[r].Synced() {
@@ -168,7 +137,7 @@ func (s *System) admitted(proc *Processor) bool {
 	}
 	for r := 0; r < s.rings; r++ {
 		ref := s.reference(r)
-		if ref == nil || !containsID(ref.stacks[r].View().Members, proc.id) {
+		if ref == nil || !slices.Contains(ref.stacks[r].View().Members, proc.id) {
 			return false
 		}
 	}
@@ -185,8 +154,9 @@ func (s *System) retireProcessor(id ids.ProcessorID, proc *Processor) {
 	s.topoMu.Lock()
 	s.draining[id] = true
 	s.drained[id] = true
-	s.members = removeID(s.members, id)
+	s.members = slices.DeleteFunc(s.members, func(p ids.ProcessorID) bool { return p == id })
 	s.topoMu.Unlock()
+	s.notifyActivity()
 }
 
 // DrainProcessor withdraws a processor for maintenance without tripping
@@ -234,10 +204,12 @@ func (s *System) DrainProcessor(id ids.ProcessorID, timeout time.Duration) error
 	}
 	s.draining[id] = true
 	s.topoMu.Unlock()
+	s.notifyActivity()
 	undo := func() {
 		s.topoMu.Lock()
 		delete(s.draining, id)
 		s.topoMu.Unlock()
+		s.notifyActivity()
 	}
 
 	// Phase 1: move or excise every replica the processor hosts, one
@@ -343,38 +315,27 @@ func (s *System) migrateOff(g ids.ObjectGroupID, from ids.ProcessorID, deadline 
 // the replica (its eviction delivered in total order).
 func (s *System) waitEvicted(rep ids.ReplicaID, deadline time.Time) error {
 	r := s.RingOf(rep.Group)
-	for {
+	if !s.await(deadline, func() bool {
 		ref := s.reference(r)
-		if ref != nil && !ref.mgrs[r].Directory().Contains(rep) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica %s still in the directory at the deadline", rep)
-		}
-		time.Sleep(reconfigPoll)
+		return ref != nil && !ref.mgrs[r].Directory().Contains(rep)
+	}) {
+		return fmt.Errorf("replica %s still in the directory at the deadline", rep)
 	}
+	return nil
 }
 
 // waitExcised reports whether every ring's authoritative view dropped
 // the departed processor before the deadline.
 func (s *System) waitExcised(id ids.ProcessorID, deadline time.Time) bool {
-	for {
-		gone := true
+	return s.await(deadline, func() bool {
 		for r := 0; r < s.rings; r++ {
 			ref := s.reference(r)
-			if ref == nil || containsID(ref.stacks[r].View().Members, id) {
-				gone = false
-				break
+			if ref == nil || slices.Contains(ref.stacks[r].View().Members, id) {
+				return false
 			}
 		}
-		if gone {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(reconfigPoll)
-	}
+		return true
+	})
 }
 
 // pickTarget selects the placement target for a new replica of g: a
@@ -424,19 +385,11 @@ func (s *System) pickVictim(g ids.ObjectGroupID) ids.ProcessorID {
 	s.topoMu.RLock()
 	defer s.topoMu.RUnlock()
 	var victim ids.ProcessorID
+	victimDraining := false
 	for _, m := range members {
-		if s.draining[m.Processor] {
-			if m.Processor > victim {
-				victim = m.Processor
-			}
-		}
-	}
-	if victim != 0 {
-		return victim
-	}
-	for _, m := range members {
-		if m.Processor > victim {
-			victim = m.Processor
+		d := s.draining[m.Processor]
+		if (d && !victimDraining) || (d == victimDraining && m.Processor > victim) {
+			victim, victimDraining = m.Processor, d
 		}
 	}
 	return victim
@@ -578,20 +531,16 @@ func (s *System) Drain(timeout time.Duration) error {
 	// Wait for the evictions to deliver (the hosted set empties) or the
 	// deadline to pass — a drain is best-effort once the process is on
 	// its way out.
-	for {
-		clean := true
+	s.await(deadline, func() bool {
 		for _, p := range procs {
 			for _, mgr := range p.mgrs {
 				if len(mgr.HostedReplicas()) > 0 {
-					clean = false
+					return false
 				}
 			}
 		}
-		if clean || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(reconfigPoll)
-	}
+		return true
+	})
 	for _, p := range procs {
 		for _, st := range p.stacks {
 			st.Leave()

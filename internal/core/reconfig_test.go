@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,12 @@ func TestDrainProcessorMigratesAndExcises(t *testing.T) {
 	}
 	if len(hosts) != 3 {
 		t.Fatalf("group degree %d after drain, want 3 (migrated, not lost)", len(hosts))
+	}
+	// The drained processor stays listed (inert), and no survivor is
+	// listed twice: the processor order and the membership list are
+	// separate lists.
+	if got := d.sys.Processors(); !slices.Equal(got, []ids.ProcessorID{1, 2, 3, 4, 5}) {
+		t.Fatalf("Processors() = %v after draining P2, want [P1..P5]", got)
 	}
 	waitViews(t, d.sys, []ids.ProcessorID{1, 3, 4, 5}, 10*time.Second)
 

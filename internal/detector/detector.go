@@ -24,6 +24,7 @@ package detector
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -241,13 +242,16 @@ func (d *Detector) AdoptSuspicion(p ids.ProcessorID, r Reason) {
 
 // Tick checks the rotation liveness timeout. If the rotation has stalled,
 // the processor whose turn it is — the successor of the last active
-// holder — is suspected of being silent.
-func (d *Detector) Tick() {
+// holder — is suspected of being silent, and the timeout rearms. It
+// returns when the timeout next expires, lastActivity+SuspectTimeout (the
+// zero time with no view).
+func (d *Detector) Tick() time.Time {
 	if len(d.members) == 0 {
-		return
+		return time.Time{}
 	}
-	if d.now().Sub(d.lastActivity) < d.cfg.SuspectTimeout {
-		return
+	now := d.now()
+	if now.Sub(d.lastActivity) < d.cfg.SuspectTimeout {
+		return d.lastActivity.Add(d.cfg.SuspectTimeout)
 	}
 	var culprit ids.ProcessorID
 	if d.haveActivity {
@@ -265,11 +269,15 @@ func (d *Detector) Tick() {
 		}
 		culprit = d.successorOf(culprit)
 	}
-	if culprit == d.cfg.Self {
-		return // never self-suspect; others will judge us
+	// Rearm so each stall yields one suspicion step. When the walk ends at
+	// ourselves (everyone else is suspected already) there is no one left
+	// to suspect — we never self-suspect, others judge us — and only
+	// activity or a new view, both of which rearm too, can change that.
+	d.lastActivity = now
+	if culprit != d.cfg.Self {
+		d.suspect(culprit, ReasonSilent)
 	}
-	d.lastActivity = d.now() // rearm so each stall yields one suspicion step
-	d.suspect(culprit, ReasonSilent)
+	return d.lastActivity.Add(d.cfg.SuspectTimeout)
 }
 
 // Suspects returns the current suspects list (sorted), the module's output
@@ -281,7 +289,7 @@ func (d *Detector) Suspects() []ids.ProcessorID {
 		out = append(out, p)
 	}
 	d.mu.Unlock()
-	sortProcs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -337,12 +345,4 @@ func (d *Detector) successorOf(p ids.ProcessorID) ids.ProcessorID {
 		}
 	}
 	return d.members[0]
-}
-
-func sortProcs(ps []ids.ProcessorID) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j-1] > ps[j]; j-- {
-			ps[j-1], ps[j] = ps[j], ps[j-1]
-		}
-	}
 }

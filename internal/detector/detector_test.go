@@ -271,3 +271,41 @@ func TestReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestTickDeadline pins the deadline Tick reports: lastActivity plus
+// SuspectTimeout, rearmed by activity and by each suspicion step.
+func TestTickDeadline(t *testing.T) {
+	const timeout = 10 * time.Millisecond
+	t0 := time.Unix(0, 0)
+	for _, tc := range []struct {
+		name  string
+		setup func(d *Detector, c *fakeClock)
+		want  time.Time // zero: none
+	}{
+		{"no view", func(d *Detector, _ *fakeClock) { d.SetView(nil) }, time.Time{}},
+		{"view set", func(*Detector, *fakeClock) {}, t0.Add(timeout)},
+		{"activity", func(d *Detector, c *fakeClock) {
+			c.advance(4 * time.Millisecond)
+			d.TokenActivity(2, 1)
+			c.advance(time.Millisecond)
+		}, t0.Add(4*time.Millisecond + timeout)},
+		{"stall suspects and rearms", func(d *Detector, c *fakeClock) {
+			c.advance(timeout + 2*time.Millisecond)
+		}, t0.Add(2*timeout + 2*time.Millisecond)},
+		{"nobody left to suspect", func(d *Detector, c *fakeClock) {
+			for _, p := range []ids.ProcessorID{2, 3, 4} {
+				d.MutantToken(p, 1)
+			}
+			c.advance(timeout)
+		}, t0.Add(2 * timeout)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &fakeClock{t: t0}
+			d := newTestDetector(1, c)
+			tc.setup(d, c)
+			if got := d.Tick(); !got.Equal(tc.want) {
+				t.Fatalf("Tick() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

@@ -35,6 +35,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -204,13 +205,7 @@ func New(cfg Config) (*Membership, error) {
 		return m, nil
 	}
 	initial := wire.SortProcessors(append([]ids.ProcessorID(nil), cfg.Initial...))
-	selfIn := false
-	for _, p := range initial {
-		if p == cfg.Self {
-			selfIn = true
-		}
-	}
-	if !selfIn {
+	if !slices.Contains(initial, cfg.Self) {
 		return nil, fmt.Errorf("membership: self %s not in initial membership", cfg.Self)
 	}
 	m.current = Install{ID: 1, Ring: 1, Members: initial}
@@ -247,55 +242,80 @@ func MinCorrect(n int) int { return (2*n + 1 + 2) / 3 }
 
 // Tick drives formation: starting a change when suspects appear, periodic
 // proposal re-multicast, flush exchange, unresponsive detection, and the
-// install decision.
-func (m *Membership) Tick() {
-	if m.leaving {
+// install decision. It returns when it next has timed work (see deadline).
+func (m *Membership) Tick() time.Time {
+	now := m.now()
+	switch {
+	case m.leaving:
 		// A leaver neither proposes nor adopts: it re-advertises its
 		// departure until the survivors install a view without it (the
 		// upper layer then stops this stack).
-		if m.now().Sub(m.lastLeave) >= m.cfg.RejoinInterval {
+		if !now.Before(m.deadline()) {
 			m.sendLeave()
 		}
-		return
-	}
-	if !m.forming {
-		if m.needChange() {
-			m.beginForming()
-			return
+	case !m.forming && m.needChange():
+		m.beginForming()
+	case !m.forming:
+		if d := m.deadline(); !d.IsZero() && !now.Before(d) {
+			m.maintain()
 		}
-		m.maintain()
-		return
-	}
-	now := m.now()
-	if now.Sub(m.lastPropose) >= m.cfg.ProposeInterval {
-		m.multicastProposal()
-	}
-	if now.Sub(m.lastFlush) >= m.cfg.ProposeInterval {
+	default:
+		if now.Sub(m.lastPropose) >= m.cfg.ProposeInterval {
+			m.multicastProposal()
+		}
 		m.flush()
+		if now.Sub(m.formStarted) >= m.cfg.FormTimeout {
+			m.reportUnresponsive()
+			m.formStarted = now // rearm
+			m.recomputeProposal()
+		}
+		m.tryInstall()
 	}
-	if now.Sub(m.formStarted) >= m.cfg.FormTimeout {
-		m.reportUnresponsive()
-		m.formStarted = now // rearm
-		m.recomputeProposal()
-	}
-	m.tryInstall()
+	return m.deadline()
 }
 
-// maintain runs the steady-state duties of an installed view: the lowest
-// member periodically announces the view to processors outside it, and an
-// excluded processor periodically requests readmission into the view it
-// adopted. Together these implement Eventual Inclusion (Table 4) for
-// repaired processors.
+// deadline reports when Tick next has timed work; the zero time means
+// none until a frame arrives or a suspicion is raised (which the caller
+// must answer with a Tick). A leaver re-sends its Leave. While forming:
+// the next proposal or flush, the unresponsive check and, while it is
+// open, the end of the flush barrier. In an installed view the lowest
+// member announces it, and an excluded processor that adopted a view
+// re-requests admission (one joining from scratch waits for an Announce).
+func (m *Membership) deadline() time.Time {
+	switch {
+	case m.leaving:
+		return m.lastLeave.Add(m.cfg.RejoinInterval)
+	case m.forming:
+		last := m.lastPropose
+		if m.lastFlush.Before(last) {
+			last = m.lastFlush
+		}
+		next := last.Add(m.cfg.ProposeInterval)
+		if t := m.formStarted.Add(m.cfg.FormTimeout); t.Before(next) {
+			next = t
+		}
+		if t := m.flushStarted.Add(m.cfg.FlushTimeout); t.Before(next) && m.now().Before(t) {
+			next = t
+		}
+		return next
+	case m.isMember(m.cfg.Self):
+		if m.current.Members[0] == m.cfg.Self {
+			return m.lastAnnounce.Add(m.cfg.AnnounceInterval)
+		}
+	case m.current.ID != 0:
+		return m.lastRejoin.Add(m.cfg.RejoinInterval)
+	}
+	return time.Time{}
+}
+
+// maintain runs the steady-state duty of an installed view once deadline
+// says it is due: the lowest member periodically announces the view to
+// processors outside it, and an excluded processor periodically requests
+// readmission into the view it adopted. Together these implement Eventual
+// Inclusion (Table 4) for repaired processors.
 func (m *Membership) maintain() {
-	now := m.now()
 	if m.isMember(m.cfg.Self) {
-		if len(m.current.Members) == 0 || m.current.Members[0] != m.cfg.Self {
-			return
-		}
-		if now.Sub(m.lastAnnounce) < m.cfg.AnnounceInterval {
-			return
-		}
-		m.lastAnnounce = now
+		m.lastAnnounce = m.now()
 		msg := &wire.Membership{
 			Sender:    m.cfg.Self,
 			Kind:      wire.MembershipAnnounce,
@@ -308,13 +328,7 @@ func (m *Membership) maintain() {
 		}
 		return
 	}
-	if m.current.ID == 0 {
-		return // joining from scratch: wait for an Announce to adopt
-	}
-	if now.Sub(m.lastRejoin) < m.cfg.RejoinInterval {
-		return
-	}
-	m.lastRejoin = now
+	m.lastRejoin = m.now()
 	m.RequestJoin(m.current)
 }
 
@@ -418,11 +432,11 @@ func (m *Membership) multicastProposal() {
 		Members:   m.myProposal,
 		Suspects:  m.cfg.Source.Suspects(),
 	}
+	m.lastPropose = m.now() // even unsigned: the next attempt waits its interval
 	if err := m.sign(msg); err != nil {
 		return
 	}
 	m.cfg.Trans.Multicast(msg.Marshal())
-	m.lastPropose = m.now()
 	// Record our own proposal so tryInstall sees it uniformly.
 	m.proposals[m.cfg.Self] = msg
 }
@@ -508,7 +522,7 @@ func (m *Membership) HandleMessage(raw []byte) {
 			// processor is asking back in.
 			m.joined[msg.Sender] = true
 			delete(m.departed, msg.Sender)
-			if !m.inProposal(msg.Sender) {
+			if !slices.Contains(m.myProposal, msg.Sender) {
 				return
 			}
 		}
@@ -571,21 +585,14 @@ func (m *Membership) HandleMessage(raw []byte) {
 // this residual gap (the original protocol closes it with Byzantine
 // agreement).
 func (m *Membership) handleAnnounce(msg *wire.Membership) {
-	selfIn, senderIn := false, false
 	for _, p := range msg.Members {
-		if p == m.cfg.Self {
-			selfIn = true
-		}
-		if p == msg.Sender {
-			senderIn = true
-		}
 		if !m.cfg.Suite.Known(p) {
 			// A fabricated view padded with nonexistent processors could
 			// otherwise satisfy the strictly-larger rule below.
 			return
 		}
 	}
-	if selfIn || !senderIn {
+	if slices.Contains(msg.Members, m.cfg.Self) || !slices.Contains(msg.Members, msg.Sender) {
 		return
 	}
 	if msg.InstallID < m.current.ID {
@@ -639,16 +646,6 @@ func (m *Membership) HandleFlush(raw []byte) {
 		return
 	}
 	m.cfg.Bridge.AdoptFlushDigests(f.Digests, f.Sender)
-}
-
-// inProposal reports whether p is in my current proposal.
-func (m *Membership) inProposal(p ids.ProcessorID) bool {
-	for _, q := range m.myProposal {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // flush multicasts recovery data for members behind the maximum delivered
@@ -758,22 +755,14 @@ func (m *Membership) tryInstall() {
 // plausible checks whether a commit's membership could have been agreed by
 // correct processors from this processor's standpoint.
 func (m *Membership) plausible(members []ids.ProcessorID, sender ids.ProcessorID) bool {
-	selfIn, senderIn := false, false
 	for _, p := range members {
-		if p == m.cfg.Self {
-			selfIn = true
-		}
-		if p == sender {
-			senderIn = true
-		}
 		if m.cfg.Source.Suspected(p) || !m.cfg.Suite.Known(p) {
 			return false
 		}
 	}
-	return selfIn && senderIn
+	return slices.Contains(members, m.cfg.Self) && slices.Contains(members, sender)
 }
 
-// install finalizes the new membership.
 // install commits a new membership locally. tail is the highest old-ring
 // delivered point claimed by any continuing member (0 when unknown): a
 // member installing below it marks the install Behind, so upper layers
@@ -786,15 +775,7 @@ func (m *Membership) install(members []ids.ProcessorID, id ids.MembershipID, rin
 	m.proposals = make(map[ids.ProcessorID]*wire.Membership)
 	m.suspectVotes = make(map[ids.ProcessorID]map[ids.ProcessorID]bool)
 	sorted := wire.SortProcessors(append([]ids.ProcessorID(nil), members...))
-	behind := false
-	if m.cfg.Bridge.Delivered() < tail {
-		for _, p := range sorted {
-			if p == m.cfg.Self {
-				behind = true
-				break
-			}
-		}
-	}
+	behind := m.cfg.Bridge.Delivered() < tail && slices.Contains(sorted, m.cfg.Self)
 	m.current = Install{ID: id, Ring: ring, Members: sorted, Behind: behind}
 	for _, p := range sorted {
 		delete(m.joined, p)
@@ -828,11 +809,4 @@ func (m *Membership) RequestJoin(view Install) {
 	m.cfg.Trans.Multicast(msg.Marshal())
 }
 
-func (m *Membership) isMember(p ids.ProcessorID) bool {
-	for _, q := range m.current.Members {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
+func (m *Membership) isMember(p ids.ProcessorID) bool { return slices.Contains(m.current.Members, p) }

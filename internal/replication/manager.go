@@ -72,9 +72,10 @@ type Config struct {
 	// activation never completes must not retain ordered traffic
 	// forever. 0 means 30s; negative disables expiry.
 	BacklogTTL time.Duration
-	// OnChange, when non-nil, fires after replica activation, directory
-	// resync, or a membership install — the wake-up for waiters polling
-	// group health (System.WaitGroupActive). Called with the manager
+	// OnChange, when non-nil, fires after replica activation or
+	// departure, directory resync, or a membership install — the wake-up
+	// for waiters on group health and reconfiguration progress
+	// (System.WaitGroupActive, AddProcessor, DrainProcessor). Called with the manager
 	// lock held: it must be fast, must not block, and must not call
 	// back into the Manager.
 	OnChange func()

@@ -210,6 +210,7 @@ func (m *Manager) departLocked(r ids.ReplicaID, keepHosted bool) bool {
 			m.activateMemberLocked(joiner)
 		}
 	}
+	m.notifyChangeLocked()
 	return true
 }
 
@@ -226,8 +227,8 @@ func (m *Manager) activateMemberLocked(r ids.ReplicaID) {
 	}
 }
 
-// notifyChangeLocked fires the OnChange hook after activation, resync, or
-// membership changes. Caller holds m.mu; the hook must not block.
+// notifyChangeLocked fires the OnChange hook after activation, departure,
+// resync, or membership changes. Caller holds m.mu; the hook must not block.
 func (m *Manager) notifyChangeLocked() {
 	if m.cfg.OnChange != nil {
 		m.cfg.OnChange()

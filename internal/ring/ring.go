@@ -14,12 +14,17 @@
 //
 // Concurrency contract: HandleToken, HandleRegular, Tick, and Kickstart
 // must be called from a single goroutine (the owning processor's event
-// loop). Submit may be called from any goroutine.
+// loop). Submit and Holding may be called from any goroutine. The ring
+// never blocks that goroutine: its timed work (token resend, the end of an
+// idle hold) runs from Tick, which reports when it is next due. A ring
+// whose owner has never called Tick is stepped by frames alone, so nothing
+// would release a held token: it passes every token at once.
 package ring
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,7 +153,8 @@ type Knobs struct {
 	// costs ~2000 signed token visits/s, which matters when many systems
 	// share a machine (tests). A busy ring (any member originating)
 	// passes the token at full speed, and a local Submit cuts the hold
-	// short. 0 means DefaultIdleDelay; negative disables pacing.
+	// short. Tick releases the hold, so only a ring that has been ticked
+	// paces. 0 means DefaultIdleDelay; negative disables pacing.
 	IdleDelay time.Duration
 	// MaxQueue bounds the submit queue: Submit returns ErrOverloaded
 	// once this many payloads await origination. 0 means
@@ -191,9 +197,10 @@ type Ring struct {
 	level     sec.Level // cfg.Suite.SecurityLevel(), read once
 	vcache    *verifyCache
 
-	qmu     sync.Mutex
-	sendQ   [][]byte
-	submitN chan struct{} // capacity 1: edge-trigger for Submit during an idle hold
+	qmu       sync.Mutex
+	sendQ     [][]byte
+	held      *wire.Token // an idle hold's token, passed on from Tick; written under qmu
+	submitted bool        // a Submit since the last hold, which the next idle visit skips (qmu)
 
 	// Protocol state: single event-goroutine access.
 	visit        uint64 // highest token visit accepted
@@ -212,6 +219,8 @@ type Ring struct {
 	lastAccepted [sec.DigestSize]byte // digest of last accepted token (chain check)
 	aruWindow    []uint64             // arus of the last n+1 accepted tokens
 	lastHoldAt   time.Time            // this processor's previous token hold
+	holdUntil    time.Time            // when the idle hold ends at the latest
+	ticked       bool                 // Tick has run, so it will release a hold
 	m            Metrics
 	stopped      bool
 }
@@ -272,7 +281,6 @@ func New(cfg Config) (*Ring, error) {
 		level:      cfg.Suite.SecurityLevel(),
 		m:          cfg.Metrics,
 		vcache:     newVerifyCache(),
-		submitN:    make(chan struct{}, 1),
 		msgs:       make(map[uint64]*wire.Regular),
 		digestBook: make(map[uint64][sec.DigestSize]byte),
 		tokensSeen: make(map[uint64][sec.DigestSize]byte),
@@ -289,7 +297,11 @@ func (r *Ring) Knobs() Knobs { return r.cfg.Knobs }
 func (r *Ring) Delivered() uint64 { return r.delivered }
 
 // Stop makes all further events no-ops; used during membership changes.
-func (r *Ring) Stop() { r.stopped = true }
+// A token held by an idle hold is dropped; DrainQueue carries the queue.
+func (r *Ring) Stop() {
+	r.stopped = true
+	r.endHold()
+}
 
 // Submit queues contents for origination on a future token visit. Safe
 // from any goroutine. The contents are not retained by reference. When
@@ -303,16 +315,21 @@ func (r *Ring) Submit(contents []byte) error {
 		return fmt.Errorf("ring %s: %d queued: %w", r.cfg.Ring, r.cfg.MaxQueue, ErrOverloaded)
 	}
 	r.sendQ = append(r.sendQ, append([]byte(nil), contents...))
+	r.submitted = true
 	depth := len(r.sendQ)
 	r.qmu.Unlock()
 	r.m.SendQueue.Set(int64(depth))
-	// Wake an in-progress idle hold so the submission is originated on
-	// this visit instead of after the full idle delay.
-	select {
-	case r.submitN <- struct{}{}:
-	default:
-	}
 	return nil
+}
+
+// Holding reports whether an idle hold is in progress. Safe from any
+// goroutine: a caller that has just submitted and sees true wakes the
+// event loop, whose Tick then ends the hold and originates the
+// submission on this visit instead of after the full idle delay.
+func (r *Ring) Holding() bool {
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	return r.held != nil
 }
 
 // QueuedSubmissions reports how many submissions await origination.
@@ -342,27 +359,29 @@ func (r *Ring) predecessor() ids.ProcessorID {
 	return r.cfg.Self // unreachable; Self validated in New
 }
 
-// HandleToken processes a received token payload.
-func (r *Ring) HandleToken(raw []byte) {
+// HandleToken processes a received token payload and reports whether this
+// processor took the token: it now holds it or has passed it on, and
+// either sets a deadline for Tick.
+func (r *Ring) HandleToken(raw []byte) bool {
 	if r.stopped {
-		return
+		return false
 	}
 	tok, err := wire.UnmarshalToken(raw)
 	if err != nil {
 		// Undecodable token: corruption in transit or malformed from a
 		// faulty sender. Sender unknown, so no attribution.
 		r.rejectToken()
-		return
+		return false
 	}
 	if tok.Ring != r.cfg.Ring {
-		return // stale configuration
+		return false // stale configuration
 	}
 	if !r.memberOf(tok.Sender) {
 		// Not attributable: an outsider naming itself (or anyone) in a
 		// token is just noise; suspecting non-members would let forgers
 		// block legitimate future joins.
 		r.rejectToken()
-		return
+		return false
 	}
 	if tok.Visit <= r.visit {
 		// Duplicate or stale token. If its contents differ from the
@@ -376,7 +395,7 @@ func (r *Ring) HandleToken(raw []byte) {
 				r.obs.MutantToken(tok.Sender, tok.Visit)
 			}
 		}
-		return
+		return false
 	}
 	// Verify the signature BEFORE attributing anything to the claimed
 	// sender: an invalid signature proves only that a forgery exists,
@@ -385,13 +404,13 @@ func (r *Ring) HandleToken(raw []byte) {
 	// path above — or retransmitted — costs exactly one RSA operation.
 	if !r.verifyOnce(tok) {
 		r.rejectToken()
-		return
+		return false
 	}
 	if err := tok.WellFormed(); err != nil {
 		// The sender provably signed a malformed token: attributable.
 		r.rejectToken()
 		r.obs.TokenInvalid(tok.Sender, "malformed token: "+err.Error())
-		return
+		return false
 	}
 	// Previous-token digest chaining: if we saw the token of the previous
 	// visit, the new token must reference it (§7.1 mutant token
@@ -402,11 +421,11 @@ func (r *Ring) HandleToken(raw []byte) {
 		if prevDigest, ok := r.tokensSeen[tok.Visit-1]; ok && tok.PrevTokenDigest != prevDigest {
 			r.rejectToken()
 			r.obs.MutantToken(tok.Sender, tok.Visit)
-			return
+			return false
 		}
 	}
 
-	r.acceptToken(tok, raw)
+	return r.acceptToken(tok, raw)
 }
 
 // rejectToken counts a discarded token; rejectMessage a message discarded
@@ -491,12 +510,13 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 }
 
 // acceptToken records an accepted token and, if this processor is the
-// successor of the token's sender, takes the holder role.
-func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
+// successor of the token's sender, takes the holder role (reported).
+func (r *Ring) acceptToken(tok *wire.Token, raw []byte) bool {
 	prevVisit := r.visit
 	r.visit = tok.Visit
 	r.tokensSeen[tok.Visit] = sec.Digest(raw)
 	r.lastAccepted = sec.Digest(raw)
+	r.endHold() // a later token supersedes any token still held
 	if tok.Seq > r.seq {
 		r.seq = tok.Seq
 	}
@@ -513,13 +533,15 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 	}
 	r.gc(st, prevVisit)
 
-	if r.successorOf(tok.Sender) == r.cfg.Self {
-		r.holdToken(tok)
+	if r.successorOf(tok.Sender) != r.cfg.Self {
+		return false
 	}
+	r.holdToken(tok)
+	return true
 }
 
-// holdToken performs one token visit: retransmit requested messages,
-// originate new ones, update seq/aru/rtr, and pass the token on.
+// holdToken starts one token visit. An idle visit is held (idle pacing)
+// and completed later by Tick; any other visit completes at once.
 func (r *Ring) holdToken(prev *wire.Token) {
 	if r.m.Rotation != nil {
 		// Token rotation time: the interval between this processor's
@@ -530,22 +552,46 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		}
 		r.lastHoldAt = t
 	}
-	if r.cfg.IdleDelay > 0 && len(prev.RtrList) == 0 &&
-		prev.Seq <= r.lastHeldSeq && r.QueuedSubmissions() == 0 {
+	if r.ticked && r.cfg.IdleDelay > 0 && len(prev.RtrList) == 0 && prev.Seq <= r.lastHeldSeq {
 		// Idle pacing: the ring made no sequence progress over the whole
-		// rotation since our previous hold and we have nothing to add, so
-		// hold the token briefly to keep an idle ring from spinning. A
+		// rotation since our previous hold, so unless we have something to
+		// add, hold the token briefly to keep an idle ring from spinning. A
 		// busy ring (prev.Seq advanced) skips this entirely — pacing on a
 		// loaded ring would charge every rotation the full delay at each
-		// non-originating member. A local Submit interrupts the hold.
-		t := time.NewTimer(r.cfg.IdleDelay)
-		select {
-		case <-r.submitN:
-		case <-t.C:
+		// non-originating member. A local Submit since our previous hold
+		// skips the hold once: this processor has just been active, so
+		// its clients are likely to follow up. The hold is state, not a
+		// wait: Tick passes the token at holdUntil, or as soon as a Submit
+		// queues something. The queue is checked under the lock Holding
+		// takes, so a Submit either lands before the check or sees the
+		// hold.
+		r.qmu.Lock()
+		if len(r.sendQ) == 0 {
+			if !r.submitted {
+				r.held, r.holdUntil = prev, r.now().Add(r.cfg.IdleDelay)
+			}
+			r.submitted = false
 		}
-		t.Stop()
+		r.qmu.Unlock()
+		if r.held != nil {
+			return
+		}
 	}
+	r.visitToken(prev)
+}
 
+// endHold forgets the held token, if any, and the Submit that ended it.
+func (r *Ring) endHold() {
+	if r.held != nil {
+		r.qmu.Lock()
+		r.held, r.submitted = nil, false
+		r.qmu.Unlock()
+	}
+}
+
+// visitToken completes one token visit: retransmit requested messages,
+// originate new ones, update seq/aru/rtr, and pass the token on.
+func (r *Ring) visitToken(prev *wire.Token) {
 	// 1. Retransmit messages from the incoming retransmission request
 	// list that we hold (§7.1: "requesting retransmission of messages").
 	var stillMissing []uint64
@@ -713,7 +759,7 @@ func (r *Ring) mergeMissing(carry []uint64, upTo uint64) []uint64 {
 	for s := range want {
 		out = append(out, s)
 	}
-	sortU64(out)
+	slices.Sort(out)
 	if len(out) > maxRtrList {
 		out = out[:maxRtrList]
 	}
@@ -925,32 +971,40 @@ func (r *Ring) DrainQueue() [][]byte {
 	return q
 }
 
-// Tick drives token-loss recovery: if this processor multicast the token
-// last and has seen no later token within the timeout, it retransmits its
-// token (§7.1 message retransmission applies to the token too).
-func (r *Ring) Tick() {
-	if r.stopped || r.lastSentRaw == nil {
-		return
+// Tick runs the ring's timed work and returns when it is next due (the
+// zero time: nothing is due until a frame arrives). An idle hold ends
+// once holdUntil has passed or a submission is queued, and the token is
+// passed on; while it lasts, Tick returns holdUntil. Then token-loss
+// recovery: if this processor multicast the token last and has seen no
+// later token within the timeout, it retransmits its token (§7.1 message
+// retransmission applies to the token too); while that can still happen,
+// Tick returns lastSentAt+TokenTimeout. The first call enables idle
+// pacing (see IdleDelay).
+func (r *Ring) Tick() time.Time {
+	r.ticked = true
+	if r.stopped {
+		return time.Time{}
 	}
-	if r.visit > r.lastSentVis {
-		return // rotation moved on
+	if r.held != nil {
+		if r.now().Before(r.holdUntil) && r.QueuedSubmissions() == 0 {
+			return r.holdUntil
+		}
+		prev := r.held
+		r.endHold()
+		r.visitToken(prev)
 	}
-	if r.now().Sub(r.lastSentAt) < r.cfg.TokenTimeout {
-		return
+	if r.lastSentRaw == nil || r.visit > r.lastSentVis {
+		return time.Time{} // nothing sent, or the rotation moved on
 	}
-	r.cfg.Trans.Multicast(r.lastSentRaw)
-	r.m.TokenResends.Inc()
-	r.lastSentAt = r.now()
+	if now := r.now(); now.Sub(r.lastSentAt) >= r.cfg.TokenTimeout {
+		r.cfg.Trans.Multicast(r.lastSentRaw)
+		r.m.TokenResends.Inc()
+		r.lastSentAt = now
+	}
+	return r.lastSentAt.Add(r.cfg.TokenTimeout)
 }
 
-func (r *Ring) memberOf(p ids.ProcessorID) bool {
-	for _, m := range r.cfg.Members {
-		if m == p {
-			return true
-		}
-	}
-	return false
-}
+func (r *Ring) memberOf(p ids.ProcessorID) bool { return slices.Contains(r.cfg.Members, p) }
 
 // successorOf returns the member following p in ring order.
 func (r *Ring) successorOf(p ids.ProcessorID) ids.ProcessorID {
@@ -960,13 +1014,4 @@ func (r *Ring) successorOf(p ids.ProcessorID) ids.ProcessorID {
 		}
 	}
 	return p
-}
-
-// sortU64 sorts in place (insertion sort: lists are tiny and capped).
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }

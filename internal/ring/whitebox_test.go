@@ -57,22 +57,6 @@ func TestStableAruWindow(t *testing.T) {
 	}
 }
 
-func TestSortU64(t *testing.T) {
-	s := []uint64{5, 1, 4, 1, 3}
-	sortU64(s)
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatalf("not sorted: %v", s)
-		}
-	}
-	sortU64(nil) // must not panic
-	one := []uint64{9}
-	sortU64(one)
-	if one[0] != 9 {
-		t.Fatal("singleton mangled")
-	}
-}
-
 // TestMergeMissingCapped: the retransmission request list must stay within
 // maxRtrList even with a huge gap.
 func TestMergeMissingCapped(t *testing.T) {

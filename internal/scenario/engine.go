@@ -263,7 +263,6 @@ func Run(s Scenario) (*Result, error) {
 		MaxInFlight:     s.MaxInFlight,
 		MaxSubmitQueue:  s.MaxSubmitQueue,
 		MaxBacklog:      s.MaxBacklog,
-		PollInterval:    50 * time.Microsecond,
 	})
 	if err != nil {
 		return nil, err

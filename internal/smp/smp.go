@@ -9,7 +9,9 @@ package smp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"immune/internal/detector"
@@ -58,8 +60,6 @@ type Config struct {
 	// and applies its own defaults.
 	Ring     ring.Knobs
 	Detector detector.Knobs
-	// PollInterval is the event-loop sleep when idle; 0 means 100µs.
-	PollInterval time.Duration
 	// Metrics are optional observability hooks; the zero value disables
 	// them.
 	Metrics Metrics
@@ -76,7 +76,11 @@ type Stack struct {
 	curInst membership.Install
 	pending []membership.Install // installs awaiting event-loop processing
 
-	ctl chan func() // control requests run on the event goroutine
+	// wake asks the event loop to run every layer's Tick at once: a
+	// suspicion, a Submit during an idle hold, Leave, or the deadline
+	// timer.
+	wake  chan struct{}
+	leave atomic.Bool // Leave was called; the loop's next tick announces it
 
 	stop    chan struct{}
 	done    chan struct{}
@@ -94,24 +98,24 @@ func New(cfg Config) (*Stack, error) {
 	if cfg.Suite == nil {
 		return nil, fmt.Errorf("smp %s: suite required", cfg.Self)
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 100 * time.Microsecond
-	}
 
 	s := &Stack{
 		cfg:  cfg,
-		ctl:  make(chan func(), 4),
+		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	s.det = detector.New(detector.Config{
 		Self:  cfg.Self,
 		Knobs: cfg.Detector,
+		// A suspicion is acted on at once (the membership protocol may
+		// have to start a change), from whichever goroutine raised it.
 		OnSuspect: func(_ ids.ProcessorID, r detector.Reason) {
 			cfg.Metrics.Suspicions.Inc()
 			if cfg.Metrics.SuspectReason != nil {
 				cfg.Metrics.SuspectReason(r.String())
 			}
+			s.wakeLoop()
 		},
 	})
 	mem, err := membership.New(membership.Config{
@@ -172,6 +176,7 @@ func (s *Stack) buildRing(inst membership.Install, carryover [][]byte) (*ring.Ri
 	if err != nil {
 		return nil, err
 	}
+	r.Tick() // the loop releases idle holds from here on (ring.Tick)
 	// Carryover cannot overflow: the old ring's drained queue holds at
 	// most MaxQueue entries and the new ring starts empty with the same
 	// bound. The error is still checked so a future bound change cannot
@@ -229,7 +234,19 @@ func (s *Stack) Submit(payload []byte) error {
 	if err := s.cur.Submit(payload); err != nil {
 		return fmt.Errorf("smp %s: %w", s.cfg.Self, err)
 	}
+	if s.cur.Holding() {
+		s.wakeLoop() // end the idle hold: the submission goes out on this visit
+	}
 	return nil
+}
+
+// wakeLoop asks the event loop to run every layer's Tick. Safe from any
+// goroutine; never blocks.
+func (s *Stack) wakeLoop() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // QueuedSubmissions reports how many submissions await origination on the
@@ -267,15 +284,15 @@ func (s *Stack) ValueFaultSuspect(p ids.ProcessorID) {
 
 // Knobs reports the tuning values in effect, defaults applied, as read
 // back from the layer that consumes each: the current ring's (zero while
-// excluded), the detector's, and the event loop's poll interval.
-func (s *Stack) Knobs() (ring.Knobs, detector.Knobs, time.Duration) {
+// excluded) and the detector's.
+func (s *Stack) Knobs() (ring.Knobs, detector.Knobs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rk ring.Knobs
 	if s.cur != nil {
 		rk = s.cur.Knobs()
 	}
-	return rk, s.det.Knobs(), s.cfg.PollInterval
+	return rk, s.det.Knobs()
 }
 
 // Installs reports how many membership changes have been installed.
@@ -288,12 +305,8 @@ func (s *Stack) Installs() uint64 { return s.mem.Installs() }
 // from any goroutine. The stack keeps running (re-advertising the
 // departure) until Stop.
 func (s *Stack) Leave() {
-	select {
-	case s.ctl <- func() { s.mem.Leave() }:
-	default:
-		// The control queue is full only if Leave was already requested
-		// repeatedly; dropping a duplicate is harmless.
-	}
+	s.leave.Store(true)
+	s.wakeLoop()
 }
 
 // queueInstall records an install decided by the membership protocol; the
@@ -318,42 +331,25 @@ func (s *Stack) applyInstalls() {
 			s.cur.Stop()
 			carryover = s.cur.DrainQueue()
 		}
-		selfIn := false
-		for _, p := range inst.Members {
-			if p == s.cfg.Self {
-				selfIn = true
+		var r *ring.Ring // nil: excluded
+		if slices.Contains(inst.Members, s.cfg.Self) {
+			var err error
+			if r, err = s.buildRing(inst, carryover); err != nil {
+				r = nil // cannot happen for a validated install; treat as exclusion
 			}
-		}
-		if !selfIn {
-			s.cur = nil
-			s.curInst = inst
-			s.mu.Unlock()
-			// Adopt the view in the detector too: our silence suspicions
-			// of its members are stale (we were the detached one), and
-			// clearing them lets the readmission exchange proceed.
-			s.det.SetView(inst.Members)
-			if s.cfg.OnMembershipChange != nil {
-				s.cfg.OnMembershipChange(inst)
-			}
-			continue
-		}
-		r, err := s.buildRing(inst, carryover)
-		if err != nil {
-			// Cannot happen for a validated install; treat as exclusion.
-			s.cur = nil
-			s.curInst = inst
-			s.mu.Unlock()
-			continue
 		}
 		s.cur = r
 		s.curInst = inst
 		s.mu.Unlock()
 
+		// An excluded processor adopts the view in the detector too: its
+		// silence suspicions of the members are stale (it was the detached
+		// one), and clearing them lets the readmission exchange proceed.
 		s.det.SetView(inst.Members)
 		if s.cfg.OnMembershipChange != nil {
 			s.cfg.OnMembershipChange(inst)
 		}
-		if len(inst.Members) > 0 && inst.Members[0] == s.cfg.Self {
+		if r != nil && inst.Members[0] == s.cfg.Self {
 			r.Kickstart()
 		}
 	}
@@ -363,17 +359,20 @@ func (s *Stack) applyInstalls() {
 // still run under sustained load.
 const maxBatch = 128
 
-// loop is the stack's single event goroutine: drain a batch of frames,
-// preverify any signed tokens in the batch in parallel, dispatch the
-// batch serially, run the timers, and sleep only when idle — woken early
-// by the endpoint's notify channel when a frame arrives, so hand-off
-// latency is set by the network, not by the poll interval.
+// loop is the stack's single event goroutine, and the only place the stack
+// waits: drain a batch of frames, preverify any signed tokens in the batch
+// in parallel, dispatch the batch serially, and run the layers' timed work
+// when the earliest deadline they reported has passed or something
+// happened that may need it now. With nothing left to do it sleeps until
+// the earliest layer deadline, a frame, a wake (a control call among
+// them), or stop.
 func (s *Stack) loop() {
 	defer close(s.done)
 	notify := s.cfg.Endpoint.Notify()
-	timer := time.NewTimer(s.cfg.PollInterval)
+	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	lastTick := time.Now()
+	var due time.Time // earliest layer deadline; zero: none
+	kick := true      // run every layer's Tick on this iteration
 	batch := make([]transport.Frame, 0, maxBatch)
 	for {
 		select {
@@ -393,67 +392,90 @@ func (s *Stack) loop() {
 		if len(batch) > 0 {
 			s.preverify(batch)
 			for _, f := range batch {
-				s.dispatch(f)
+				kick = s.dispatch(f) || kick
 			}
 		}
-		for {
+		select {
+		case <-s.wake:
+			kick = true
+		default:
+		}
+		if kick || (!due.IsZero() && !time.Now().Before(due)) {
+			kick = false
+			due = s.tick()
+		}
+		if len(batch) > 0 {
+			continue
+		}
+
+		if !timer.Stop() {
 			select {
-			case f := <-s.ctl:
-				f()
-				continue
+			case <-timer.C:
 			default:
 			}
-			break
 		}
-		now := time.Now()
-		if now.Sub(lastTick) >= s.cfg.PollInterval {
-			lastTick = now
-			s.mu.Lock()
-			cur := s.cur
-			s.mu.Unlock()
-			if cur != nil {
-				cur.Tick()
-			}
-			// While a membership change is forming, the old ring is
-			// expected to stall; running the liveness walk then would
-			// pile false suspicions onto correct processors. The
-			// membership protocol's own unresponsive-reporting covers
-			// that phase. An excluded processor (no ring) observes no
-			// token activity at all, so the walk would only poison its
-			// readmission exchange.
-			// A leaver's liveness walk is equally meaningless: the
-			// survivors abandon its ring the moment they install the view
-			// without it.
-			if !s.mem.Forming() && !s.mem.Leaving() && cur != nil {
-				s.det.Tick()
-			}
-			s.mem.Tick()
-			s.applyInstalls()
+		var fire <-chan time.Time // nil: no deadline
+		if !due.IsZero() {
+			timer.Reset(time.Until(due))
+			fire = timer.C
 		}
-		if len(batch) == 0 {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		select {
+		case <-s.stop:
+			return
+		case <-fire:
+		case _, ok := <-notify:
+			if !ok {
+				// Network closed: no more frames will ever arrive. A
+				// closed channel is always readable, so selecting on it
+				// again would spin; deadlines pace the loop from here.
+				notify = nil
 			}
-			timer.Reset(s.cfg.PollInterval)
-			select {
-			case <-s.stop:
-				return
-			case f := <-s.ctl:
-				f()
-			case _, ok := <-notify:
-				if !ok {
-					// Network closed: no more frames will ever arrive.
-					// A closed channel is always readable, so selecting
-					// on it again would spin; fall back to timer pacing.
-					notify = nil
-				}
-			case <-timer.C:
-			}
+		case <-s.wake:
+			kick = true
 		}
 	}
+}
+
+// tick runs every layer's timed work, applies any install that decided,
+// and returns the earliest deadline the layers reported (zero: none). An
+// install brings a new ring and view, so the layers are ticked again.
+func (s *Stack) tick() time.Time {
+	if s.leave.Load() {
+		s.mem.Leave() // idempotent
+	}
+	for {
+		s.mu.Lock()
+		cur := s.cur
+		s.mu.Unlock()
+		var due time.Time
+		if cur != nil {
+			due = cur.Tick()
+		}
+		// While a membership change is forming, the old ring is expected
+		// to stall; running the liveness walk then would pile false
+		// suspicions onto correct processors. The membership protocol's
+		// own unresponsive-reporting covers that phase. An excluded
+		// processor (no ring) observes no token activity at all, so the
+		// walk would only poison its readmission exchange. A leaver's
+		// liveness walk is equally meaningless: the survivors abandon its
+		// ring the moment they install the view without it.
+		if !s.mem.Forming() && !s.mem.Leaving() && cur != nil {
+			due = earliest(due, s.det.Tick())
+		}
+		due = earliest(due, s.mem.Tick())
+		if len(s.pending) == 0 {
+			return due
+		}
+		s.applyInstalls()
+	}
+}
+
+// earliest returns the earlier of two deadlines, where zero means none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
 }
 
 // preverify warms the current ring's signature-verification cache for all
@@ -481,19 +503,24 @@ func (s *Stack) preverify(batch []transport.Frame) {
 	}
 }
 
-// dispatch routes one frame by wire kind.
-func (s *Stack) dispatch(f transport.Frame) {
+// dispatch routes one frame by wire kind and reports whether the layers
+// must be ticked this iteration: a token this processor took starts a hold
+// or a send, each with its own deadline; a membership frame (a join, a
+// departure, a proposal) is acted on at once; and while a change forms,
+// any delivery may open the flush barrier. Other frames only push the
+// layers' deadlines later. A suspicion raised meanwhile wakes the loop.
+func (s *Stack) dispatch(f transport.Frame) bool {
 	kind, err := wire.PeekKind(f.Payload)
 	if err != nil {
-		return
+		return false
 	}
 	s.mu.Lock()
 	cur := s.cur
 	s.mu.Unlock()
 	switch kind {
 	case wire.KindToken:
-		if cur != nil {
-			cur.HandleToken(f.Payload)
+		if cur != nil && cur.HandleToken(f.Payload) {
+			return true
 		}
 	case wire.KindRegular:
 		if cur != nil {
@@ -501,10 +528,12 @@ func (s *Stack) dispatch(f transport.Frame) {
 		}
 	case wire.KindMembership:
 		s.mem.HandleMessage(f.Payload)
+		s.applyInstalls()
+		return true
 	case wire.KindFlush:
 		s.mem.HandleFlush(f.Payload)
 	}
-	s.applyInstalls()
+	return s.mem.Forming()
 }
 
 // sourceAdapter exposes the detector as the membership protocol's suspect

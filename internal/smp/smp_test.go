@@ -82,14 +82,13 @@ func newTestCluster(t *testing.T, n int, level sec.Level, netCfg netsim.Config) 
 		}
 		sut := &stackUnderTest{id: p, reg: obs.NewRegistry()}
 		st, err := New(Config{
-			Self:         p,
-			Members:      members,
-			Suite:        suite,
-			Endpoint:     ep,
-			Ring:         ring.Knobs{IdleDelay: 100 * time.Microsecond},
-			Detector:     detector.Knobs{SuspectTimeout: 25 * time.Millisecond},
-			PollInterval: 50 * time.Microsecond,
-			Metrics:      MetricsFrom(sut.reg, ""),
+			Self:     p,
+			Members:  members,
+			Suite:    suite,
+			Endpoint: ep,
+			Ring:     ring.Knobs{IdleDelay: 100 * time.Microsecond},
+			Detector: detector.Knobs{SuspectTimeout: 25 * time.Millisecond},
+			Metrics:  MetricsFrom(sut.reg, ""),
 			Deliver: func(d Delivery) {
 				sut.mu.Lock()
 				defer sut.mu.Unlock()

@@ -29,7 +29,6 @@ func TestOverloadBoundedQueuesAndGracefulDegradation(t *testing.T) {
 		Seed:           42,
 		MaxSubmitQueue: maxQueue,
 		MaxInFlight:    maxInFlight,
-		PollInterval:   50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
