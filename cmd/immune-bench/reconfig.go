@@ -61,7 +61,6 @@ func runReconfig(jsonPath string, cycles, payloadSize int) error {
 		Processors:  base,
 		Level:       immune.LevelNone,
 		Seed:        41,
-		AutoRecover: true,
 		CallTimeout: 10 * time.Second,
 		// A drain's membership departure must settle well inside the
 		// operation timeout even on a loaded runner.

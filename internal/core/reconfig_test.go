@@ -29,7 +29,6 @@ func deployReconfig(t *testing.T, n int, level sec.Level) *reconfigDeploy {
 		CallTimeout:    15 * time.Second,
 		SuspectTimeout: 250 * time.Millisecond,
 		InvokeRetries:  3,
-		AutoRecover:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +189,31 @@ func TestDrainedProcessorRejoins(t *testing.T) {
 	d.put(t, "x", "y")
 	if v := d.get(t, "x"); v != "y" {
 		t.Fatalf("read %q after rejoin", v)
+	}
+}
+
+// TestResizeSkipsProcessorOutsideView: a crashed processor the survivors
+// have excluded is no placement target, though its own stacks still run,
+// its managers stay synced and it hosts nothing (the least load). Growing
+// the group lands on a survivor, which every survivor's directory shows.
+func TestResizeSkipsProcessorOutsideView(t *testing.T) {
+	d := deployReconfig(t, 5, sec.LevelNone) // group on P1-P3, client on P5
+	d.sys.CrashProcessor(4)
+	waitViews(t, d.sys, []ids.ProcessorID{1, 2, 3, 5}, 20*time.Second)
+
+	if err := d.sys.ResizeGroup(kvGroup, 4, 20*time.Second); err != nil {
+		t.Fatalf("ResizeGroup: %v", err)
+	}
+	p1, err := d.sys.Processor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []ids.ProcessorID
+	for _, m := range p1.GroupMembers(kvGroup) {
+		hosts = append(hosts, m.Processor)
+	}
+	if !slices.Equal(hosts, []ids.ProcessorID{1, 2, 3, 5}) {
+		t.Fatalf("P1's directory lists hosts %v after growing to 4, want [P1 P2 P3 P5]", hosts)
 	}
 }
 

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"testing"
-	"time"
 
 	"immune/internal/ids"
 )
@@ -23,7 +22,7 @@ func TestAllCandidatesHosting(t *testing.T) {
 	}
 	m := newTestManager(t, c, 4)
 	for i := 0; i < 3; i++ {
-		m.reconcile()
+		m.reconcile(t0)
 	}
 	if len(c.placements) != 0 {
 		t.Fatalf("placed on %v with every member already hosting", c.placements)
@@ -34,7 +33,7 @@ func TestAllCandidatesHosting(t *testing.T) {
 	// A processor joins: the very next pass must use it (no leftover
 	// backoff from the candidate-less passes).
 	c.view = append(c.view, 9)
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 || c.placements[0] != 9 {
 		t.Fatalf("placements = %v, want [9] after the view grew", c.placements)
 	}
@@ -51,7 +50,7 @@ func TestTieBreakEqualLoads(t *testing.T) {
 		load:  map[ids.ProcessorID]int{3: 2, 4: 2, 5: 2},
 	}
 	m := newTestManager(t, c, 2)
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 || c.placements[0] != 3 {
 		t.Fatalf("placements = %v, want [3] (lowest id among equal loads)", c.placements)
 	}
@@ -67,7 +66,7 @@ func TestTieBreakPrefersLowerLoadOverLowerID(t *testing.T) {
 		load:  map[ids.ProcessorID]int{2: 3, 3: 3, 4: 1},
 	}
 	m := newTestManager(t, c, 2)
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 || c.placements[0] != 4 {
 		t.Fatalf("placements = %v, want [4] (least loaded)", c.placements)
 	}
@@ -86,7 +85,7 @@ func TestViewInstallExcludesInflightTarget(t *testing.T) {
 		load:  map[ids.ProcessorID]int{3: 0, 4: 5},
 	}
 	m := newTestManager(t, c, 3)
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 || c.placements[0] != 3 {
 		t.Fatalf("placements = %v, want [3]", c.placements)
 	}
@@ -95,17 +94,13 @@ func TestViewInstallExcludesInflightTarget(t *testing.T) {
 	// vanishes from the directory with it.
 	c.view = []ids.ProcessorID{1, 2, 4, 5}
 	c.hosts[testG] = []ids.ProcessorID{1, 2}
-	m.reconcile()
+	m.reconcile(t0)
 	if !hasKind(m.Health().Events, EventPlacementFailed) {
 		t.Fatal("exclusion of the in-flight target not recorded as a failure")
 	}
 
 	// After the (capped) backoff the retry must pick from the new view.
-	deadline := time.Now().Add(time.Second)
-	for len(c.placements) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		m.reconcile()
-	}
+	m.reconcile(t0.Add(maxBackoff))
 	if len(c.placements) < 2 {
 		t.Fatal("no retry after target exclusion")
 	}
@@ -116,7 +111,7 @@ func TestViewInstallExcludesInflightTarget(t *testing.T) {
 	}
 	// Activation completes on the new target: the group recovers.
 	c.lastPl.active = true
-	m.reconcile()
+	m.reconcile(t0.Add(maxBackoff))
 	if !hasKind(m.Health().Events, EventReplicaRestored) {
 		t.Fatal("restored replica not recorded")
 	}
@@ -132,7 +127,7 @@ func TestInflightSurvivesBenignViewInstall(t *testing.T) {
 		hw:    map[ids.ObjectGroupID]int{testG: 2},
 	}
 	m := newTestManager(t, c, 2)
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 {
 		t.Fatalf("placements = %v, want one", c.placements)
 	}
@@ -140,7 +135,7 @@ func TestInflightSurvivesBenignViewInstall(t *testing.T) {
 
 	// Install a new view (another processor joins); the target stays.
 	c.view = []ids.ProcessorID{1, 2, 3, 8}
-	m.reconcile()
+	m.reconcile(t0)
 	if len(c.placements) != 1 {
 		t.Fatalf("benign view install triggered extra placement: %v", c.placements)
 	}
@@ -148,7 +143,7 @@ func TestInflightSurvivesBenignViewInstall(t *testing.T) {
 		t.Fatal("benign view install recorded as placement failure")
 	}
 	c.lastPl.active = true
-	m.reconcile()
+	m.reconcile(t0)
 	h := m.Health()
 	if !hasKind(h.Events, EventReplicaRestored) {
 		t.Fatal("transfer did not complete after benign view install")

@@ -32,8 +32,3 @@ var (
 	// overload was detected.
 	ErrOverloaded = ring.ErrOverloaded
 )
-
-// minCorrect returns ⌈(r+1)/2⌉, the minimum correct replicas required in
-// a group of degree r (paper §3.1). Duplicated from core to avoid an
-// import cycle.
-func minCorrect(r int) int { return (r + 2) / 2 }

@@ -151,7 +151,7 @@ func (m *Manager) timeoutError(op ids.OperationID, target ids.ObjectGroupID, dea
 	switch {
 	case excluded || size == 0:
 		return fmt.Errorf("replication: %s to %s: %w", op, target, ErrQuorumLost)
-	case size < minCorrect(hw):
+	case size < group.Majority(hw):
 		return fmt.Errorf("replication: %s to %s (%d/%d replicas live): %w",
 			op, target, size, hw, ErrGroupDegraded)
 	default:

@@ -322,6 +322,7 @@ func (m *Manager) GroupDegreeHW(g ids.ObjectGroupID) int {
 func (m *Manager) SetGroupDegreeHW(g ids.ObjectGroupID, degree int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.notifyChangeLocked() // the recovery bootstrap gate reads it
 	if degree <= 0 {
 		delete(m.degreeHW, g)
 		return

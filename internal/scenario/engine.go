@@ -79,7 +79,8 @@ type Scenario struct {
 	Degree      int          `json:"degree,omitempty"`
 	Groups      int          `json:"groups,omitempty"`
 	Level       immune.Level `json:"level,omitempty"`
-	AutoRecover bool         `json:"auto_recover,omitempty"`
+	// AutoRecover hosts servers by HostGroup (recovered), not HostServer.
+	AutoRecover bool `json:"auto_recover,omitempty"`
 	// Rings shards the deployment's object groups over this many token
 	// rings (immune.Config.Rings); 0 or 1 is a single ring. Cross-ring
 	// scenarios exercise the routing layer: driver clients are homed by
@@ -250,7 +251,6 @@ func Run(s Scenario) (*Result, error) {
 		Level:       s.Level,
 		Seed:        s.Seed,
 		Plan:        plan,
-		AutoRecover: s.AutoRecover,
 		CallTimeout: s.CallTimeout,
 		// Drivers re-send within the call deadline like the paper's
 		// clients would: re-sends carry the same operation ID and are

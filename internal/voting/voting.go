@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"immune/internal/group"
 	"immune/internal/ids"
 	"immune/internal/sec"
 )
@@ -200,7 +201,7 @@ func (v *Voter) OfferTo(dest ids.ObjectGroupID, op ids.OperationID, sender ids.R
 
 	// The threshold follows the sender group: the client group for
 	// invocation copies, the server group for response copies.
-	if r := v.degree(sender.Group); r <= 0 || t.count < r/2+1 {
+	if r := v.degree(sender.Group); r <= 0 || t.count < group.Majority(r) {
 		return Outcome{}
 	}
 	dec := v.decide(op, e, t)
@@ -268,7 +269,7 @@ func (v *Voter) Recheck() []DecidedOp {
 			continue
 		}
 		for i := range e.tallies {
-			if t := &e.tallies[i]; t.count >= r/2+1 {
+			if t := &e.tallies[i]; t.count >= group.Majority(r) {
 				out = append(out, v.decide(op, e, t))
 				break
 			}

@@ -26,7 +26,6 @@ func TestLiveReconfigurationUnderLoad(t *testing.T) {
 		Processors:  6,
 		Rings:       2,
 		Seed:        53,
-		AutoRecover: true,
 		CallTimeout: 10 * time.Second,
 		// Reconfiguration churns memberships on purpose; the liveness
 		// timeout must not read a busy runner's scheduling stalls as

@@ -87,13 +87,11 @@ func waitHealth(t *testing.T, sys *immune.System, g immune.GroupID,
 // replacement receiving its state via majority-voted state transfer.
 func TestAutoRecoveryRestoresDegree(t *testing.T) {
 	sys, err := immune.New(immune.Config{
-		Processors:      6,
-		Seed:            41,
-		SuspectTimeout:  40 * time.Millisecond,
-		CallTimeout:     15 * time.Second,
-		AutoRecover:     true,
-		RecoveryBackoff: 25 * time.Millisecond,
-		InvokeRetries:   1,
+		Processors:     6,
+		Seed:           41,
+		SuspectTimeout: 40 * time.Millisecond,
+		CallTimeout:    15 * time.Second,
+		InvokeRetries:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +245,9 @@ func TestRejoinEventualInclusion(t *testing.T) {
 // third processor and still restore the configured degree.
 func TestRecoveryCascadingFault(t *testing.T) {
 	sys, err := immune.New(immune.Config{
-		Processors:      7,
-		Seed:            47,
-		SuspectTimeout:  40 * time.Millisecond,
-		AutoRecover:     true,
-		RecoveryBackoff: 25 * time.Millisecond,
+		Processors:     7,
+		Seed:           47,
+		SuspectTimeout: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
