@@ -383,6 +383,7 @@ func (r *Ring) HandleToken(raw []byte) bool {
 		r.rejectToken()
 		return false
 	}
+	d := sec.Digest(raw) // for the mutant check, the verify cache and the chain
 	if tok.Visit <= r.visit {
 		// Duplicate or stale token. If its contents differ from the
 		// token we accepted for that visit AND its signature verifies,
@@ -390,8 +391,8 @@ func (r *Ring) HandleToken(raw []byte) bool {
 		// visit — a mutant token. Without a verified signature the
 		// conflict is not attributable (anyone can forge garbage naming
 		// a correct processor), so it is dropped silently.
-		if seen, ok := r.tokensSeen[tok.Visit]; ok && seen != sec.Digest(raw) {
-			if r.verifyOnce(tok) {
+		if seen, ok := r.tokensSeen[tok.Visit]; ok && seen != d {
+			if r.verifyOnce(tok, d) {
 				r.obs.MutantToken(tok.Sender, tok.Visit)
 			}
 		}
@@ -402,7 +403,7 @@ func (r *Ring) HandleToken(raw []byte) bool {
 	// never that the named processor misbehaved. verifyOnce memoizes the
 	// verdict, so a token seen on both this path and the stale/mutant
 	// path above — or retransmitted — costs exactly one RSA operation.
-	if !r.verifyOnce(tok) {
+	if !r.verifyOnce(tok, d) {
 		r.rejectToken()
 		return false
 	}
@@ -425,7 +426,7 @@ func (r *Ring) HandleToken(raw []byte) bool {
 		}
 	}
 
-	return r.acceptToken(tok, raw)
+	return r.acceptToken(tok, d)
 }
 
 // rejectToken counts a discarded token; rejectMessage a message discarded
@@ -441,15 +442,15 @@ func (r *Ring) rejectMessage() {
 }
 
 // verifyOnce checks a token signature through the bounded verify cache:
-// each distinct (sender, signed portion, signature) triple reaches the
-// RSA machinery at most once per processor. Below LevelSignatures tokens
-// are unsigned and every check is vacuously true, so the cache (and its
-// keying digests) is bypassed entirely.
-func (r *Ring) verifyOnce(tok *wire.Token) bool {
+// each distinct (sender, raw token) pair reaches the RSA machinery at
+// most once per processor. d is the digest of the raw token. Below
+// LevelSignatures tokens are unsigned and every check is vacuously true,
+// so the cache is bypassed entirely.
+func (r *Ring) verifyOnce(tok *wire.Token, d [sec.DigestSize]byte) bool {
 	if r.level < sec.LevelSignatures {
 		return r.cfg.Suite.VerifyToken(tok.Sender, tok.SignedPortion(), tok.Signature)
 	}
-	k := tokenVerifyKey(tok)
+	k := verifyKey{sender: tok.Sender, raw: d}
 	if v, ok := r.vcache.lookup(k); ok {
 		r.m.VerifyCacheHits.Inc()
 		return v
@@ -478,7 +479,7 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 		if err != nil || tok.Ring != r.cfg.Ring || !r.memberOf(tok.Sender) {
 			continue
 		}
-		k := tokenVerifyKey(tok)
+		k := verifyKey{sender: tok.Sender, raw: sec.Digest(raw)}
 		if _, ok := r.vcache.lookup(k); ok {
 			continue
 		}
@@ -509,13 +510,13 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 	r.m.TokensVerified.Add(uint64(len(toks)))
 }
 
-// acceptToken records an accepted token and, if this processor is the
-// successor of the token's sender, takes the holder role (reported).
-func (r *Ring) acceptToken(tok *wire.Token, raw []byte) bool {
+// acceptToken records an accepted token with raw digest d and, if this
+// processor is the successor of the token's sender, takes the holder role.
+func (r *Ring) acceptToken(tok *wire.Token, d [sec.DigestSize]byte) bool {
 	prevVisit := r.visit
 	r.visit = tok.Visit
-	r.tokensSeen[tok.Visit] = sec.Digest(raw)
-	r.lastAccepted = sec.Digest(raw)
+	r.tokensSeen[tok.Visit] = d
+	r.lastAccepted = d
 	r.endHold() // a later token supersedes any token still held
 	if tok.Seq > r.seq {
 		r.seq = tok.Seq
@@ -636,7 +637,7 @@ func (r *Ring) visitToken(prev *wire.Token) {
 		m := &wire.Regular{Sender: r.cfg.Self, Ring: r.cfg.Ring, Seq: seq, Contents: contents}
 		raw := m.Marshal()
 		if r.level >= sec.LevelDigests {
-			d := sec.Digest(raw)
+			d := m.Digest()
 			digests = append(digests, wire.DigestEntry{Seq: seq, Digest: d})
 			if seq > r.released {
 				r.digestBook[seq] = d
@@ -707,8 +708,8 @@ func (r *Ring) visitToken(prev *wire.Token) {
 
 	raw := next.Marshal()
 	r.visit = next.Visit
-	r.tokensSeen[next.Visit] = sec.Digest(raw)
 	r.lastAccepted = sec.Digest(raw)
+	r.tokensSeen[next.Visit] = r.lastAccepted
 	r.lastSentRaw = raw
 	r.lastSentVis = next.Visit
 	r.lastSentAt = r.now()
@@ -807,7 +808,7 @@ func (r *Ring) HandleRegular(raw []byte) {
 	// mismatches a known digest it is discarded and will be recovered by
 	// retransmission of the genuine message.
 	if r.level >= sec.LevelDigests {
-		if d, ok := r.digestBook[m.Seq]; ok && d != sec.Digest(raw) {
+		if d, ok := r.digestBook[m.Seq]; ok && d != m.Digest() {
 			r.rejectMessage()
 			r.obs.MutantMessage(m.Sender, m.Seq)
 			return

@@ -3,19 +3,17 @@ package ring
 import (
 	"immune/internal/ids"
 	"immune/internal/sec"
-	"immune/internal/wire"
 )
 
 // verifyKey identifies one (claimed sender, signed bytes, signature)
-// triple. The signed portion and the signature are keyed by digest so the
-// cache holds fixed-size entries instead of retaining token buffers. A
-// forged or mutated token necessarily changes the triple, so a cached
-// verdict can never be transferred to different bytes: the cache
-// memoizes RSA results, it never weakens them.
+// triple by the sender and the digest of the raw token, which encodes the
+// other two injectively (a decoded token has no trailing bytes), so the
+// cache holds fixed-size entries. A forged or mutated token necessarily
+// changes the raw bytes, so a cached verdict can never be transferred to
+// different bytes: the cache memoizes RSA results, it never weakens them.
 type verifyKey struct {
 	sender ids.ProcessorID
-	signed [sec.DigestSize]byte
-	sig    [sec.DigestSize]byte
+	raw    [sec.DigestSize]byte
 }
 
 // verifyCacheCap bounds the cache. A ring rotation keeps at most a few
@@ -51,13 +49,4 @@ func (c *verifyCache) store(k verifyKey, v bool) {
 		clear(c.m)
 	}
 	c.m[k] = v
-}
-
-// tokenVerifyKey builds the cache key for a decoded token.
-func tokenVerifyKey(tok *wire.Token) verifyKey {
-	return verifyKey{
-		sender: tok.Sender,
-		signed: sec.Digest(tok.SignedPortion()),
-		sig:    sec.Digest(tok.Signature),
-	}
 }

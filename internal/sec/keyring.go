@@ -61,8 +61,8 @@ type Suite struct {
 	// emulate slower hardware. The paper measured on 167 MHz UltraSPARCs
 	// where a 300-bit RSA signature cost milliseconds; on modern CPUs it
 	// costs tens of microseconds, which erases the Figure 7 case-4 gap.
-	// A WorkFactor around 100 restores the paper-era ratio of signature
-	// cost to protocol cost (see EXPERIMENTS.md). Zero means 1.
+	// A WorkFactor of 10-15 restores the paper's roughly tenfold case-4
+	// collapse (see EXPERIMENTS.md). Zero means 1.
 	WorkFactor int
 }
 

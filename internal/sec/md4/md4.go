@@ -9,7 +9,7 @@ package md4
 
 import (
 	"encoding/binary"
-	"hash"
+	"math/bits"
 )
 
 // Size is the size of an MD4 checksum in bytes.
@@ -18,143 +18,82 @@ const Size = 16
 // BlockSize is the block size of MD4 in bytes.
 const BlockSize = 64
 
-const (
-	init0 = 0x67452301
-	init1 = 0xefcdab89
-	init2 = 0x98badcfe
-	init3 = 0x10325476
-)
+const k2, k3 = 0x5a827999, 0x6ed9eba1 // rounds 2 and 3 (RFC 1320 §3.4)
 
-// digest is the streaming state of an MD4 computation.
-type digest struct {
-	s   [4]uint32
-	x   [BlockSize]byte
-	nx  int
-	len uint64
-}
-
-var _ hash.Hash = (*digest)(nil)
-
-// New returns a new hash.Hash computing the MD4 checksum.
-func New() hash.Hash {
-	d := new(digest)
-	d.Reset()
-	return d
-}
-
-// Sum returns the MD4 checksum of data.
+// Sum returns the MD4 checksum of data. The padded tail (RFC 1320 §3.1-3.2)
+// is built on the stack, so a digest allocates nothing.
 func Sum(data []byte) [Size]byte {
-	d := new(digest)
-	d.Reset()
-	d.Write(data)
+	s := [4]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
+	full := len(data) &^ (BlockSize - 1)
+	blocks(&s, data[:full])
+	var tail [2 * BlockSize]byte
+	n := copy(tail[:], data[full:])
+	tail[n] = 0x80
+	end := (n + 8 + BlockSize) &^ (BlockSize - 1) // one block, or two if the length does not fit
+	binary.LittleEndian.PutUint64(tail[end-8:], uint64(len(data))<<3)
+	blocks(&s, tail[:end])
 	var out [Size]byte
-	d.checkSum(&out)
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(out[i*4:], v)
+	}
 	return out
 }
 
-func (d *digest) Reset() {
-	d.s[0] = init0
-	d.s[1] = init1
-	d.s[2] = init2
-	d.s[3] = init3
-	d.nx = 0
-	d.len = 0
-}
-
-func (d *digest) Size() int { return Size }
-
-func (d *digest) BlockSize() int { return BlockSize }
-
-func (d *digest) Write(p []byte) (n int, err error) {
-	n = len(p)
-	d.len += uint64(n)
-	if d.nx > 0 {
-		c := copy(d.x[d.nx:], p)
-		d.nx += c
-		if d.nx == BlockSize {
-			block(d, d.x[:])
-			d.nx = 0
-		}
-		p = p[c:]
-	}
-	for len(p) >= BlockSize {
-		block(d, p[:BlockSize])
-		p = p[BlockSize:]
-	}
-	if len(p) > 0 {
-		d.nx = copy(d.x[:], p)
-	}
-	return n, nil
-}
-
-func (d *digest) Sum(in []byte) []byte {
-	// Make a copy so callers can keep writing.
-	d2 := *d
-	var out [Size]byte
-	d2.checkSum(&out)
-	return append(in, out[:]...)
-}
-
-// checkSum applies MD4 padding and writes the final digest into out.
-func (d *digest) checkSum(out *[Size]byte) {
-	lenBits := d.len << 3
-	var pad [BlockSize + 8]byte
-	pad[0] = 0x80
-	padLen := BlockSize - (int(d.len) % BlockSize) - 8
-	if padLen <= 0 {
-		padLen += BlockSize
-	}
-	binary.LittleEndian.PutUint64(pad[padLen:], lenBits)
-	d.Write(pad[:padLen+8])
-	for i, v := range d.s {
-		binary.LittleEndian.PutUint32(out[i*4:], v)
+// blocks processes p, a whole number of 64-byte blocks (RFC 1320 §3.4).
+// The round helpers inline, so the 48 steps of a block run fully unrolled
+// with constant rotations.
+func blocks(s *[4]uint32, p []byte) {
+	for ; len(p) >= BlockSize; p = p[BlockSize:] {
+		_ = p[BlockSize-1]
+		x0, x1, x2, x3 := binary.LittleEndian.Uint32(p[0:]), binary.LittleEndian.Uint32(p[4:]), binary.LittleEndian.Uint32(p[8:]), binary.LittleEndian.Uint32(p[12:])
+		x4, x5, x6, x7 := binary.LittleEndian.Uint32(p[16:]), binary.LittleEndian.Uint32(p[20:]), binary.LittleEndian.Uint32(p[24:]), binary.LittleEndian.Uint32(p[28:])
+		x8, x9, x10, x11 := binary.LittleEndian.Uint32(p[32:]), binary.LittleEndian.Uint32(p[36:]), binary.LittleEndian.Uint32(p[40:]), binary.LittleEndian.Uint32(p[44:])
+		x12, x13, x14, x15 := binary.LittleEndian.Uint32(p[48:]), binary.LittleEndian.Uint32(p[52:]), binary.LittleEndian.Uint32(p[56:]), binary.LittleEndian.Uint32(p[60:])
+		a, b, c, d := s[0], s[1], s[2], s[3]
+		a, b, c, d = round1(a, b, c, d, x0, x1, x2, x3)
+		a, b, c, d = round1(a, b, c, d, x4, x5, x6, x7)
+		a, b, c, d = round1(a, b, c, d, x8, x9, x10, x11)
+		a, b, c, d = round1(a, b, c, d, x12, x13, x14, x15)
+		a, b, c, d = round2(a, b, c, d, x0+k2, x4+k2, x8+k2, x12+k2)
+		a, b, c, d = round2(a, b, c, d, x1+k2, x5+k2, x9+k2, x13+k2)
+		a, b, c, d = round2(a, b, c, d, x2+k2, x6+k2, x10+k2, x14+k2)
+		a, b, c, d = round2(a, b, c, d, x3+k2, x7+k2, x11+k2, x15+k2)
+		a, b, c, d = round3(a, b, c, d, x0+k3, x8+k3, x4+k3, x12+k3)
+		a, b, c, d = round3(a, b, c, d, x2+k3, x10+k3, x6+k3, x14+k3)
+		a, b, c, d = round3(a, b, c, d, x1+k3, x9+k3, x5+k3, x13+k3)
+		a, b, c, d = round3(a, b, c, d, x3+k3, x11+k3, x7+k3, x15+k3)
+		s[0] += a
+		s[1] += b
+		s[2] += c
+		s[3] += d
 	}
 }
 
-// Round shift amounts (RFC 1320 §3.4).
-var (
-	shift1 = [4]uint32{3, 7, 11, 19}
-	shift2 = [4]uint32{3, 5, 9, 13}
-	shift3 = [4]uint32{3, 9, 11, 15}
+// round1, round2 and round3 each run four steps of their round, with
+// F(x,y,z) = (x AND y) OR (NOT x AND z), G(x,y,z) = (x AND y) OR (x AND
+// z) OR (y AND z), computed as (x AND y) OR ((x OR y) AND z), and
+// H(x,y,z) = x XOR y XOR z. round2's words come with k2 added, round3's
+// with k3.
+func round1(a, b, c, d, w, x, y, z uint32) (uint32, uint32, uint32, uint32) {
+	a = bits.RotateLeft32(a+(b&c|^b&d)+w, 3)
+	d = bits.RotateLeft32(d+(a&b|^a&c)+x, 7)
+	c = bits.RotateLeft32(c+(d&a|^d&b)+y, 11)
+	b = bits.RotateLeft32(b+(c&d|^c&a)+z, 19)
+	return a, b, c, d
+}
 
-	xIndex2 = [16]int{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
-	xIndex3 = [16]int{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
-)
+func round2(a, b, c, d, w, x, y, z uint32) (uint32, uint32, uint32, uint32) {
+	a = bits.RotateLeft32(a+(b&c|(b|c)&d)+w, 3)
+	d = bits.RotateLeft32(d+(a&b|(a|b)&c)+x, 5)
+	c = bits.RotateLeft32(c+(d&a|(d|a)&b)+y, 9)
+	b = bits.RotateLeft32(b+(c&d|(c|d)&a)+z, 13)
+	return a, b, c, d
+}
 
-func rotl(x, s uint32) uint32 { return x<<s | x>>(32-s) }
-
-// block processes one 64-byte block (RFC 1320 §3.4).
-func block(d *digest, p []byte) {
-	var x [16]uint32
-	for i := range x {
-		x[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-
-	a, b, c, dd := d.s[0], d.s[1], d.s[2], d.s[3]
-
-	// Round 1: F(x,y,z) = (x AND y) OR (NOT x AND z).
-	for i := 0; i < 16; i++ {
-		f := (b & c) | (^b & dd)
-		a = rotl(a+f+x[i], shift1[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
-
-	// Round 2: G(x,y,z) = (x AND y) OR (x AND z) OR (y AND z).
-	for i := 0; i < 16; i++ {
-		g := (b & c) | (b & dd) | (c & dd)
-		a = rotl(a+g+x[xIndex2[i]]+0x5a827999, shift2[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
-
-	// Round 3: H(x,y,z) = x XOR y XOR z.
-	for i := 0; i < 16; i++ {
-		h := b ^ c ^ dd
-		a = rotl(a+h+x[xIndex3[i]]+0x6ed9eba1, shift3[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
-
-	d.s[0] += a
-	d.s[1] += b
-	d.s[2] += c
-	d.s[3] += dd
+func round3(a, b, c, d, w, x, y, z uint32) (uint32, uint32, uint32, uint32) {
+	a = bits.RotateLeft32(a+(b^c^d)+w, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+y, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+z, 15)
+	return a, b, c, d
 }

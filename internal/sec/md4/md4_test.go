@@ -2,9 +2,9 @@ package md4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -38,61 +38,97 @@ func TestRFC1320Vectors(t *testing.T) {
 	}
 }
 
-func TestStreamingMatchesOneShot(t *testing.T) {
-	msg := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 40))
-	for _, chunk := range []int{1, 3, 7, 63, 64, 65, 128, 1000} {
-		h := New()
-		for i := 0; i < len(msg); i += chunk {
-			end := i + chunk
-			if end > len(msg) {
-				end = len(msg)
-			}
-			h.Write(msg[i:end])
+// refSum is the reference MD4: the RFC's padding appended to a copy of the
+// message, then refBlock over each block.
+func refSum(data []byte) [Size]byte {
+	msg := append(append([]byte(nil), data...), 0x80)
+	for len(msg)%BlockSize != BlockSize-8 {
+		msg = append(msg, 0)
+	}
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(len(data))<<3)
+	s := [4]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
+	for i := 0; i < len(msg); i += BlockSize {
+		refBlock(&s, msg[i:i+BlockSize])
+	}
+	var out [Size]byte
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(out[i*4:], v)
+	}
+	return out
+}
+
+// Round shift amounts and message word orders (RFC 1320 §3.4).
+var (
+	shift1 = [4]uint32{3, 7, 11, 19}
+	shift2 = [4]uint32{3, 5, 9, 13}
+	shift3 = [4]uint32{3, 9, 11, 15}
+
+	xIndex2 = [16]int{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
+	xIndex3 = [16]int{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+)
+
+func rotl(x, s uint32) uint32 { return x<<s | x>>(32-s) }
+
+// refBlock processes one 64-byte block in loop-and-table form (RFC 1320
+// §3.4): the reference that the unrolled steps of blocks must match.
+func refBlock(s *[4]uint32, p []byte) {
+	var x [16]uint32
+	for i := range x {
+		x[i] = binary.LittleEndian.Uint32(p[i*4:])
+	}
+
+	a, b, c, dd := s[0], s[1], s[2], s[3]
+
+	// Round 1: F(x,y,z) = (x AND y) OR (NOT x AND z).
+	for i := 0; i < 16; i++ {
+		f := (b & c) | (^b & dd)
+		a = rotl(a+f+x[i], shift1[i%4])
+		a, b, c, dd = dd, a, b, c
+	}
+
+	// Round 2: G(x,y,z) = (x AND y) OR (x AND z) OR (y AND z).
+	for i := 0; i < 16; i++ {
+		g := (b & c) | (b & dd) | (c & dd)
+		a = rotl(a+g+x[xIndex2[i]]+0x5a827999, shift2[i%4])
+		a, b, c, dd = dd, a, b, c
+	}
+
+	// Round 3: H(x,y,z) = x XOR y XOR z.
+	for i := 0; i < 16; i++ {
+		h := b ^ c ^ dd
+		a = rotl(a+h+x[xIndex3[i]]+0x6ed9eba1, shift3[i%4])
+		a, b, c, dd = dd, a, b, c
+	}
+
+	s[0] += a
+	s[1] += b
+	s[2] += c
+	s[3] += dd
+}
+
+// TestSumMatchesReference compares Sum with the reference at every length
+// up to five blocks, so each tail length meets each block count.
+func TestSumMatchesReference(t *testing.T) {
+	data := make([]byte, 320)
+	for i := range data {
+		data[i] = byte(i*151 + 7)
+	}
+	for n := 0; n <= len(data); n++ {
+		if got, want := Sum(data[:n]), refSum(data[:n]); got != want {
+			t.Fatalf("len %d: Sum %x, reference %x", n, got, want)
 		}
-		got := h.Sum(nil)
-		want := Sum(msg)
-		if !bytes.Equal(got, want[:]) {
-			t.Errorf("chunk %d: streaming digest %x != one-shot %x", chunk, got, want)
+	}
+}
+
+// FuzzSum compares Sum with the reference on arbitrary input.
+func FuzzSum(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add(bytes.Repeat([]byte{'x'}, 56))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := Sum(data), refSum(data); got != want {
+			t.Fatalf("len %d: Sum %x, reference %x", len(data), got, want)
 		}
-	}
-}
-
-func TestSumDoesNotDisturbState(t *testing.T) {
-	h := New()
-	h.Write([]byte("hello"))
-	first := h.Sum(nil)
-	second := h.Sum(nil)
-	if !bytes.Equal(first, second) {
-		t.Fatalf("Sum not idempotent: %x then %x", first, second)
-	}
-	h.Write([]byte(" world"))
-	got := h.Sum(nil)
-	want := Sum([]byte("hello world"))
-	if !bytes.Equal(got, want[:]) {
-		t.Fatalf("continued digest %x, want %x", got, want)
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New()
-	h.Write([]byte("garbage"))
-	h.Reset()
-	h.Write([]byte("abc"))
-	got := h.Sum(nil)
-	want := Sum([]byte("abc"))
-	if !bytes.Equal(got, want[:]) {
-		t.Fatalf("after Reset digest %x, want %x", got, want)
-	}
-}
-
-func TestSizes(t *testing.T) {
-	h := New()
-	if h.Size() != Size || Size != 16 {
-		t.Fatalf("Size() = %d, want 16", h.Size())
-	}
-	if h.BlockSize() != BlockSize || BlockSize != 64 {
-		t.Fatalf("BlockSize() = %d, want 64", h.BlockSize())
-	}
+	})
 }
 
 // TestPaddingBoundaries exercises message lengths around the 56-byte and
@@ -100,12 +136,8 @@ func TestSizes(t *testing.T) {
 func TestPaddingBoundaries(t *testing.T) {
 	for n := 50; n <= 70; n++ {
 		msg := bytes.Repeat([]byte{'x'}, n)
-		oneShot := Sum(msg)
-		h := New()
-		h.Write(msg[:n/2])
-		h.Write(msg[n/2:])
-		if got := h.Sum(nil); !bytes.Equal(got, oneShot[:]) {
-			t.Errorf("len %d: streaming %x != one-shot %x", n, got, oneShot)
+		if got, want := Sum(msg), refSum(msg); got != want {
+			t.Errorf("len %d: one-shot %x != reference %x", n, got, want)
 		}
 	}
 }

@@ -25,22 +25,6 @@ type TokenVerification struct {
 // maxVerifyWorkers bounds the signature-verification fan-out.
 const maxVerifyWorkers = 8
 
-// verifyWorkers returns the bounded worker count for n independent
-// verifications.
-func verifyWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > maxVerifyWorkers {
-		w = maxVerifyWorkers
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // VerifyTokenBatch verifies every item and returns the results in item
 // order. Each verification honors WorkFactor exactly as VerifyToken does;
 // items fan out across at most maxVerifyWorkers goroutines. Below
@@ -63,8 +47,8 @@ func (s *Suite) VerifyTokenBatch(items []TokenVerification) []bool {
 // pool. For n < 2 (or a single-core GOMAXPROCS) it degenerates to a plain
 // loop, so the common single-token case never pays goroutine overhead.
 func parallelEach(n int, fn func(int)) {
-	workers := verifyWorkers(n)
-	if n < 2 || workers == 1 {
+	workers := min(runtime.GOMAXPROCS(0), maxVerifyWorkers, n)
+	if workers < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
